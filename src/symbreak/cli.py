@@ -7,7 +7,8 @@ an aligned text table; wall-clock timings go to stderr so stdout stays
 byte-for-byte reproducible.
 
 Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error,
-3 enumeration budget exceeded, 10 the instance is unsatisfiable.
+3 enumeration budget exceeded, 4 search timed out, 5 the problem is too large
+for the recursive search or oracles, 10 the instance is unsatisfiable.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_TIMEOUT = 4
+EXIT_TOO_DEEP = 5
 EXIT_UNSAT = 10
 
 METHODS = ("none", "precedence", "generator-lex", "puget", "ge-tree")
@@ -126,7 +129,7 @@ def cmd_solve(args) -> int:
     try:
         solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=deadline)
     except SearchTimeout:
-        return _fail("search timed out", EXIT_FAILURE)
+        return _fail("search timed out", EXIT_TIMEOUT)
     if encoding is not None:
         solutions = [encoding.project(vec) for vec in solutions]
     doc = {
@@ -448,6 +451,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_USAGE)
     except BudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
+    except RecursionError:
+        # search and the oracles recurse once per variable
+        return _fail("problem too large: recursion depth exceeded", EXIT_TOO_DEEP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning
+from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning, bits_of
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -223,20 +223,13 @@ class _CompatTables:
             if len(c.scope) != 2:
                 continue
             a, b = c.scope
-            for va in self.dom.values(a):
-                mask = 0
-                for vb in self.dom.values(b):
-                    if c.allows(va, vb):
-                        mask |= 1 << vb
+            dom_a, dom_b = self.dom.masks[a], self.dom.masks[b]
+            for va in bits_of(dom_a):
                 row = table.setdefault((a, va), {})
-                row[b] = row.get(b, -1) & mask
-            for vb in self.dom.values(b):
-                mask = 0
-                for va in self.dom.values(a):
-                    if c.allows(va, vb):
-                        mask |= 1 << va
+                row[b] = row.get(b, -1) & c.keep_b(dom_b, 1 << va)
+            for vb in bits_of(dom_b):
                 row = table.setdefault((b, vb), {})
-                row[a] = row.get(a, -1) & mask
+                row[a] = row.get(a, -1) & c.keep_a(dom_a, 1 << vb)
         self.table = table
 
     def narrow(self, acc: list[int], var: int, value: int) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .engine import DomainSet, mask_of
+from .engine import DomainSet, bits_of, mask_of
 
 
 def value_parity(value: int) -> str:
@@ -157,6 +157,8 @@ class LexLeqPermuted(Constraint):
         while changed:
             changed = False
             left = [dom.values(var) for var in order]
+            if not all(left):
+                return self._wipe_scope(dom, removed)  # an empty position has no support
             right = [sorted(perm(v) for v in vals) for vals in left]
 
             # alpha: first position where the two sides cannot tie.
@@ -316,18 +318,30 @@ class Precedence(Constraint):
 
 
 class BinaryConstraint(Constraint):
-    """Shared arc-consistency filter for two-variable constraints.
+    """Shared arc-consistency filter for two distinct variables a and b.
 
-    Subclasses define allows(a_value, b_value). One revise of each side (the
-    second against the already revised first) reaches AC for a single binary
-    constraint; if one side empties, the other follows, matching support
-    enumeration exactly.
+    Subclasses define allows(a_value, b_value) for the checker, and two
+    closed-form support masks for the filter: keep_a(ma, mb) is the part of
+    a's domain mask ma with a support in b's mask mb, and keep_b(mb, ma) the
+    part of mb with a support in ma. Either is empty when the other side is.
+    One revise of each side (the second against the already revised first)
+    reaches AC for a single binary constraint; if one side empties, the other
+    follows, matching support enumeration exactly. Each revise costs a few
+    integer operations, whatever the domain sizes.
     """
 
     def __init__(self, a: int, b: int):
+        if a == b:
+            raise ValueError(f"binary constraint needs two distinct variables, got X{a} twice")
         self.scope = (a, b)
 
     def allows(self, va: int, vb: int) -> bool:
+        raise NotImplementedError
+
+    def keep_a(self, ma: int, mb: int) -> int:
+        raise NotImplementedError
+
+    def keep_b(self, mb: int, ma: int) -> int:
         raise NotImplementedError
 
     def check(self, assignment) -> bool:
@@ -336,31 +350,49 @@ class BinaryConstraint(Constraint):
 
     def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
         a, b = self.scope
+        masks = dom.masks
         removed: list[tuple[int, int]] = []
-        self._revise(dom, a, b, removed, flip=False)
-        self._revise(dom, b, a, removed, flip=True)
+        ma = masks[a]
+        kept = self.keep_a(ma, masks[b])
+        if kept != ma:
+            masks[a] = kept
+            removed += [(a, v) for v in bits_of(ma ^ kept)]
+        mb = masks[b]
+        kept = self.keep_b(mb, masks[a])
+        if kept != mb:
+            masks[b] = kept
+            removed += [(b, v) for v in bits_of(mb ^ kept)]
         return removed
 
-    def _revise(self, dom, x, y, removed, flip):
-        y_values = dom.values(y)
-        allows = self.allows
-        for vx in dom.values(x):
-            if flip:
-                supported = any(allows(vy, vx) for vy in y_values)
-            else:
-                supported = any(allows(vx, vy) for vy in y_values)
-            if not supported:
-                dom.remove(x, vx)
-                removed.append((x, vx))
+
+class _EqImplies(BinaryConstraint):
+    """a == value implies b in the target mask: every other value of a is
+    supported by any value of b, and every value of b by any other value of a.
+    """
+
+    def __init__(self, var: int, value: int, other_var: int, target: int):
+        super().__init__(var, other_var)
+        self.value = value
+        self._trigger = 1 << value
+        self._target = target
+
+    def keep_a(self, ma: int, mb: int) -> int:
+        if mb & self._target:
+            return ma
+        return ma & ~self._trigger if mb else 0
+
+    def keep_b(self, mb: int, ma: int) -> int:
+        if ma & ~self._trigger:
+            return mb
+        return mb & self._target if ma else 0
 
 
-class EqImpliesLeq(BinaryConstraint):
+class EqImpliesLeq(_EqImplies):
     """If the first variable takes the trigger value, the second stays at or
     below the bound."""
 
     def __init__(self, var: int, value: int, bound_var: int, bound: int):
-        super().__init__(var, bound_var)
-        self.value = value
+        super().__init__(var, value, bound_var, (2 << bound) - 1)
         self.bound = bound
 
     def allows(self, va: int, vb: int) -> bool:
@@ -371,12 +403,11 @@ class EqImpliesLeq(BinaryConstraint):
         return f"eq_implies_leq(X{a}={self.value} -> X{b}<={self.bound})"
 
 
-class EqImpliesEq(BinaryConstraint):
+class EqImpliesEq(_EqImplies):
     """If the first variable takes the trigger value, the second is pinned."""
 
     def __init__(self, var: int, value: int, other_var: int, other_value: int):
-        super().__init__(var, other_var)
-        self.value = value
+        super().__init__(var, value, other_var, 1 << other_value)
         self.other_value = other_value
 
     def allows(self, va: int, vb: int) -> bool:
@@ -392,6 +423,14 @@ class StrictLess(BinaryConstraint):
 
     def allows(self, va: int, vb: int) -> bool:
         return va < vb
+
+    def keep_a(self, ma: int, mb: int) -> int:
+        # values below b's largest
+        return ma & ((1 << (mb.bit_length() - 1)) - 1) if mb else 0
+
+    def keep_b(self, mb: int, ma: int) -> int:
+        # values above a's smallest; ma == 0 gives the empty mask
+        return mb & -((ma & -ma) << 1)
 
     def describe(self) -> str:
         a, b = self.scope
@@ -411,6 +450,26 @@ class ParityLink(BinaryConstraint):
 
     def allows(self, va: int, vb: int) -> bool:
         return value_parity(va) != self.cond_parity or value_parity(vb) == self.target_parity
+
+    def _parity_masks(self, width: int) -> tuple[int, int]:
+        # The parity classes are infinite bit patterns, so they are cut to
+        # cover the masks in play: (4**k - 1) // 3 sets bits 0, 2, ..., 2k - 2.
+        even = (4 ** (width // 2 + 1) - 1) // 3
+        odd = even << 1
+        return (odd if self.cond_parity == "odd" else even,
+                odd if self.target_parity == "odd" else even)
+
+    def keep_a(self, ma: int, mb: int) -> int:
+        cond, target = self._parity_masks((ma | mb).bit_length())
+        if mb & target:
+            return ma
+        return ma & ~cond if mb else 0
+
+    def keep_b(self, mb: int, ma: int) -> int:
+        cond, target = self._parity_masks((ma | mb).bit_length())
+        if ma & ~cond:
+            return mb
+        return mb & target if ma else 0
 
     def describe(self) -> str:
         a, b = self.scope

@@ -200,9 +200,10 @@ def problem_from_dict(doc: dict) -> Problem:
 
     raw_constraints = doc.get("constraints", [])
     _expect(isinstance(raw_constraints, list), "'constraints' must be a list")
-    constraints = tuple(constraint_from_json(c, num_vars, num_values) for c in raw_constraints)
 
     try:
+        # constructors reject what the schema cannot, e.g. a repeated variable
+        constraints = tuple(constraint_from_json(c, num_vars, num_values) for c in raw_constraints)
         return Problem(num_vars, num_values, domains, constraints, partition)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from symbreak.cli import main
+from symbreak.cli import EXIT_TIMEOUT, EXIT_TOO_DEEP, main
 from symbreak.problem_io import save_problem
 from symbreak import surjection_fixture
 
@@ -103,6 +103,38 @@ def test_propagate_wipeout_exit_code(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "propagate", str(path))
     assert code == 10
     assert json_part(out)["wipeout"] is True
+
+
+def test_propagate_rejects_repeated_binary_variable(capsys, tmp_path):
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps({
+        "format": 1, "variables": 1, "values": 3,
+        "constraints": [{"type": "strict_less", "less_var": 0, "greater_var": 0}],
+    }))
+    code, out, err = run_cli(capsys, "propagate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "two distinct variables" in err
+
+
+def test_solve_timeout_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "pigeonhole:12", "--method", "ge-tree", "--goal", "count", "--timeout", "0.01"
+    )
+    assert code == EXIT_TIMEOUT
+    assert out == ""
+    assert "timed out" in err
+
+
+def test_recursion_limit_exit_code(capsys, tmp_path):
+    # search recurses once per variable; a problem deeper than the recursion
+    # limit must end in its own exit code, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"format": 1, "variables": sys.getrecursionlimit() + 500, "values": 1}))
+    code, out, err = run_cli(capsys, "solve", str(path), "--goal", "first")
+    assert code == EXIT_TOO_DEEP
+    assert out == ""
+    assert "recursion" in err
 
 
 def test_compare_staircase_strict_gap_and_order(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from symbreak.constraints import (
 from conftest import (
     decomposed_lex_filter,
     make_rng,
-    random_binary_constraint,
     random_domain_lists,
     random_domains,
     support_marking_gac,
@@ -225,17 +225,49 @@ def test_eq_implies_constraints():
     assert sorted(EqImpliesEq(0, 2, 1, 3).propagate(dom.copy())) == [(1, 1), (1, 2)]
 
 
+# each binary kind over scope (a, b) with every parameter value in 1..m
+BINARY_KINDS = (
+    lambda a, b, m: [EqImpliesLeq(a, v, b, k) for v in range(1, m + 1) for k in range(1, m + 1)],
+    lambda a, b, m: [EqImpliesEq(a, v, b, w) for v in range(1, m + 1) for w in range(1, m + 1)],
+    lambda a, b, m: [StrictLess(a, b)],
+    lambda a, b, m: [ParityLink(a, p, b, q) for p in ("odd", "even") for q in ("odd", "even")],
+)
+
+
+def revise_by_allows(c, values):
+    """Expected removal list of one binary filter call: a's values without a
+    support in b, ascending, then b's values without a support in what is
+    left of a, ascending. Built on allows() over explicit value lists."""
+    a, b = c.scope
+    a_gone = [va for va in values[a] if not any(c.allows(va, vb) for vb in values[b])]
+    a_left = [va for va in values[a] if va not in a_gone]
+    b_gone = [vb for vb in values[b] if not any(c.allows(va, vb) for va in a_left)]
+    return [(a, v) for v in a_gone] + [(b, v) for v in b_gone]
+
+
 def test_binary_filters_match_support_enumeration():
-    rng = make_rng(7)
-    for _ in range(600):
-        m = rng.randint(2, 6)
-        dom = random_domains(rng, 2, m)
-        c = random_binary_constraint(rng, 2, m)
-        mine = dom.copy()
-        got = set(c.propagate(mine))
-        want, wiped = support_marking_gac([c], dom)
-        assert got == want
-        assert mine.has_wipeout() == wiped
+    # every kind, every parameter value and every pair of domains over 1..5,
+    # empty ones included, in both scope orientations
+    m = 5
+    subsets = [[v for v in range(1, m + 1) if bits >> (v - 1) & 1] for bits in range(1 << m)]
+    for kind, (a, b) in itertools.product(BINARY_KINDS, ((0, 1), (1, 0))):
+        for c in kind(a, b, m):
+            for first in subsets:
+                for second in subsets:
+                    dom = DomainSet.from_values([first, second])
+                    mine = dom.copy()
+                    got = c.propagate(mine)
+                    assert got == revise_by_allows(c, [first, second]), (c, first, second)
+                    want, wiped = support_marking_gac([c], dom)
+                    assert set(got) == want
+                    assert mine.has_wipeout() == wiped
+
+
+def test_binary_constraint_rejects_repeated_variable():
+    # X0 < X0 has no support at all, yet a two-sided revise would keep a value
+    for kind in BINARY_KINDS:
+        with pytest.raises(ValueError, match="distinct"):
+            kind(2, 2, 3)
 
 
 # --------------------------------------------------------- disjunction filter
@@ -296,6 +328,37 @@ def test_conditional_check_semantics():
 def test_checker_only_constraint_never_prunes():
     dom = DomainSet.from_values([[1, 2], [1, 2], [1, 2]])
     assert AtLeastNValues(3, 3).propagate(dom) == []
+
+
+# -------------------------------------------------------------- idempotence
+
+def random_filters(rng, n, m):
+    """One filter of each kind over n variables and values 1..m."""
+    img = list(range(1, m + 1))
+    rng.shuffle(img)
+    cls = sorted(rng.sample(range(1, m + 1), rng.randint(2, m)))
+    binaries = [rng.choice(kind(*rng.sample(range(n), 2), m)) for kind in BINARY_KINDS]
+    inner = rng.choice(binaries + [DisjunctionEq(rng.randint(1, m), range(1, n))])
+    return [
+        Precedence(cls, range(n)),
+        LexLeqPermuted(Permutation(img), range(n)),
+        DisjunctionEq(rng.randint(1, m), range(n)),
+        *binaries,
+        Conditional(0, rng.choice(["odd", "even"]), inner),
+    ]
+
+
+def test_filters_are_idempotent():
+    # PropagationEngine does not re-queue a constraint after its own
+    # removals; that is sound only if a second call removes nothing
+    rng = make_rng(9)
+    for _ in range(400):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        dom = random_domains(rng, n, m)
+        for c in random_filters(rng, n, m):
+            once = dom.copy()
+            c.propagate(once)
+            assert c.propagate(once) == [], (c, dom)
 
 
 # ------------------------------------------------------------ precedence cost

@@ -63,6 +63,11 @@ def test_defaults_full_domains_no_classes():
         lambda d: d.update(
             constraints=[{"type": "lex_leq_permuted", "sigma": [1, 1, 2], "order": [0, 1]}]
         ),
+        lambda d: d.update(constraints=[{"type": "strict_less", "less_var": 1, "greater_var": 1}]),
+        lambda d: d.update(
+            constraints=[{"type": "conditional", "cond_var": 0, "cond_parity": "odd", "inner": {
+                "type": "eq_implies_eq", "var": 1, "value": 1, "other_var": 1, "other_value": 2}}]
+        ),
     ],
 )
 def test_schema_violations_rejected(mutate):
