@@ -51,9 +51,6 @@ class ValueClassPartition:
                 return cls
         return None
 
-    def all_values(self) -> list[int]:
-        return sorted(v for cls in self.classes for v in cls)
-
     def nontrivial_classes(self) -> list[tuple[int, ...]]:
         return [cls for cls in self.classes if len(cls) >= 2]
 
@@ -101,30 +98,13 @@ def apply_permutation(perm: Permutation, vector: Sequence[int]) -> tuple[int, ..
 
 def lex_leq_under(vector: Sequence[int], perm: Permutation) -> bool:
     """vector <=lex image of vector under perm, compared pointwise."""
-    for v in vector:
-        s = perm(v)
-        if v < s:
-            return True
-        if v > s:
-            return False
-    return True
+    return LexLeqPermuted(perm, range(len(vector))).check(vector)
 
 
 def is_class_canonical(vector: Sequence[int], partition: ValueClassPartition) -> bool:
     """True iff within every class the used values are a prefix of the class
     and first occurrences appear in class order."""
-    for cls in partition.classes:
-        level = {v: t for t, v in enumerate(cls, start=1)}
-        seen = 0
-        for value in vector:
-            t = level.get(value)
-            if t is None:
-                continue
-            if t == seen + 1:
-                seen += 1
-            elif t > seen:
-                return False
-    return True
+    return ClassCanonical(partition, range(len(vector))).check(vector)
 
 
 def valsymbreak_holds(vector: Sequence[int], symmetries) -> bool:
@@ -180,14 +160,19 @@ def build_precedence(problem: Problem, partition: Optional[ValueClassPartition] 
 class ClassCanonical(Constraint):
     """Checker-only form of the full-group lex conjunction: a total assignment
     passes iff it is the canonical member of its orbit. Used as the oracle's
-    semantic constraint where materializing the group would be wasteful."""
+    semantic constraint where materializing the group would be wasteful.
+
+    Canonicity under the full value group is per-class value precedence
+    (Law & Lee, CP 2004), so the check is the conjunction of one
+    `Precedence` per class with at least two values."""
 
     def __init__(self, partition: ValueClassPartition, scope: Sequence[int]):
         self.partition = partition
         self.scope = tuple(scope)
+        self._precedences = [Precedence(cls, self.scope) for cls in partition.nontrivial_classes()]
 
     def check(self, assignment) -> bool:
-        return is_class_canonical([assignment[v] for v in self.scope], self.partition)
+        return all(p.check(assignment) for p in self._precedences)
 
     def describe(self) -> str:
         classes = ";".join(",".join(map(str, c)) for c in self.partition.classes)

@@ -8,7 +8,7 @@ byte-for-byte reproducible.
 
 Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error,
 3 enumeration budget exceeded, 4 search timed out, 5 the problem is too large
-for the recursive search or oracles, 10 the instance is unsatisfiable.
+for the recursive search, 10 the instance is unsatisfiable.
 """
 
 from __future__ import annotations
@@ -73,10 +73,15 @@ def _emit_timing(started: float) -> None:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("SYMBREAK_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The enumeration budget: --budget, else SYMBREAK_BUDGET, else the
+    default. Below 1 is a usage error, since every oracle call would fail."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("SYMBREAK_BUDGET")
+        budget = int(env) if env else DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return budget
 
 
 def _resolve_problem(spec: str) -> Problem:
@@ -166,7 +171,7 @@ def cmd_propagate(args) -> int:
     problem = _resolve_problem(args.problem)
     encoding = None
     if args.level == "oracle-gac":
-        outcome = _oracle_gac(problem, _budget(args))
+        outcome = _oracle_gac(problem, args.budget)
         if outcome is None:
             outcome = propagate_fixpoint(problem)
     else:
@@ -214,7 +219,6 @@ _COMPARE_RELATIONS = [
 def cmd_compare(args) -> int:
     started = time.perf_counter()
     problem = _resolve_problem(args.problem)
-    budget = _budget(args)
     if problem.partition is None:
         return _fail("compare requires 'classes' in the problem", EXIT_USAGE)
     base = Problem(problem.num_vars, problem.num_values, problem.domains, (), problem.partition)
@@ -230,7 +234,7 @@ def cmd_compare(args) -> int:
     sac = enforce_sac(encoding.problem)
     results["puget-sac"] = (encoding.x_pairs(sac.pruned_pairs()), sac.wipeout)
     oracle = brute_force_gac(
-        [ClassCanonical(base.partition, range(base.num_vars))], base.domains, budget=budget
+        [ClassCanonical(base.partition, range(base.num_vars))], base.domains, budget=args.budget
     )
     results["oracle"] = (oracle.pruned_pairs(), oracle.wipeout)
 
@@ -331,7 +335,7 @@ def cmd_reduce(args) -> int:
         binaries = [c for c in problem.constraints if len(c.scope) == 2]
         PropagationEngine(binaries, problem.num_vars).run(dom)
         support = has_support(build_precedence(problem, partition), dom, switch, odd_value,
-                              budget=_budget(args))
+                              budget=args.budget)
         sat = _brute_force_sat(formula)
         agree = support == sat
         print(f"support exists: {'yes' if support else 'no'}, SAT: {'yes' if sat else 'no'}, "
@@ -361,7 +365,7 @@ def cmd_kcheck(args) -> int:
     levels = []
     first_witness = None
     for j in range(1, args.k + 2):
-        report = is_k_consistent(problem, j, budget=_budget(args))
+        report = is_k_consistent(problem, j, budget=args.budget)
         entry = {"level": j, "holds": report.holds}
         if not report.holds and first_witness is None:
             first_witness = report.witness
@@ -444,6 +448,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "budget"):
+            args.budget = _budget(args)
         return args.func(args)
     except (ProblemFormatError, DimacsError) as exc:
         return _fail(str(exc), EXIT_USAGE)
@@ -452,7 +458,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except RecursionError:
-        # search and the oracles recurse once per variable
+        # search recurses once per variable
         return _fail("problem too large: recursion depth exceeded", EXIT_TOO_DEEP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)

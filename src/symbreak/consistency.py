@@ -46,6 +46,42 @@ def _by_last_scope_var(constraints, variables):
     return grouped
 
 
+def _satisfying(constraints, dom: DomainSet, variables: Sequence[int], budget: int, what: str):
+    """Every assignment of `variables` drawn from `dom` that satisfies each
+    constraint whose scope it covers, in lexicographic order of `variables`.
+
+    Yields one variable-indexed vector, overwritten between yields. The walk
+    keeps an explicit stack of value indices, so depth costs no recursion.
+    """
+    _check_budget(dom, variables, budget, what)
+    checks = _by_last_scope_var(constraints, variables)
+    values = [dom.values(v) for v in variables]
+    vec: list[Optional[int]] = [None] * (max(variables) + 1 if variables else 0)
+    last = len(variables) - 1
+    if last < 0:
+        yield vec
+        return
+    next_index = [0] * len(variables)
+    i = 0
+    while i >= 0:
+        j = next_index[i]
+        if j == len(values[i]):
+            vec[variables[i]] = None
+            next_index[i] = 0
+            i -= 1
+            continue
+        next_index[i] = j + 1
+        vec[variables[i]] = values[i][j]
+        for c in checks[i]:
+            if not c.check(vec):
+                break
+        else:
+            if i == last:
+                yield vec
+            else:
+                i += 1
+
+
 def enumerate_solutions(
     problem: Problem,
     domains: Optional[DomainSet] = None,
@@ -55,24 +91,8 @@ def enumerate_solutions(
     constraint, in lexicographic order."""
     dom = domains if domains is not None else problem.domains
     variables = list(range(problem.num_vars))
-    _check_budget(dom, variables, budget, "solution enumeration")
-    checks = _by_last_scope_var(problem.constraints, variables)
-    values = [dom.values(v) for v in variables]
-    vec: list[Optional[int]] = [None] * problem.num_vars
-    out: list[tuple[int, ...]] = []
-
-    def descend(i: int) -> None:
-        if i == len(variables):
-            out.append(tuple(vec))
-            return
-        for v in values[i]:
-            vec[i] = v
-            if all(c.check(vec) for c in checks[i]):
-                descend(i + 1)
-        vec[i] = None
-
-    descend(0)
-    return out
+    found = _satisfying(problem.constraints, dom, variables, budget, "solution enumeration")
+    return [tuple(vec) for vec in found]
 
 
 def has_support(
@@ -89,22 +109,8 @@ def has_support(
     scope_vars = sorted({v for c in constraints for v in c.scope} | {var})
     probe = domains.copy()
     probe.assign(var, value)
-    _check_budget(probe, scope_vars, budget, "support search")
-    checks = _by_last_scope_var(constraints, scope_vars)
-    values = [probe.values(v) for v in scope_vars]
-    vec: list[Optional[int]] = [None] * (max(scope_vars) + 1)
-
-    def descend(i: int) -> bool:
-        if i == len(scope_vars):
-            return True
-        for v in values[i]:
-            vec[scope_vars[i]] = v
-            if all(c.check(vec) for c in checks[i]) and descend(i + 1):
-                return True
-        vec[scope_vars[i]] = None
-        return False
-
-    return descend(0)
+    found = _satisfying(constraints, probe, scope_vars, budget, "support search")
+    return next(found, None) is not None
 
 
 def brute_force_gac(
@@ -121,32 +127,16 @@ def brute_force_gac(
     """
     dom = domains.copy()
     scope_vars = sorted({v for c in constraints for v in c.scope})
-    _check_budget(dom, scope_vars, budget, "support filtering")
-    checks = _by_last_scope_var(constraints, scope_vars)
-    values = [dom.values(v) for v in scope_vars]
-    supported: set[tuple[int, int]] = set()
-    vec: list[Optional[int]] = [None] * (max(scope_vars) + 1 if scope_vars else 0)
-
-    def descend(i: int) -> None:
-        if i == len(scope_vars):
-            for var in scope_vars:
-                supported.add((var, vec[var]))
-            return
-        for v in values[i]:
-            vec[scope_vars[i]] = v
-            if all(c.check(vec) for c in checks[i]):
-                descend(i + 1)
-        vec[scope_vars[i]] = None
-
-    descend(0)
+    supported = [0] * len(scope_vars)
+    for vec in _satisfying(constraints, dom, scope_vars, budget, "support filtering"):
+        supported = [mask | 1 << vec[var] for mask, var in zip(supported, scope_vars)]
 
     cause = constraints[0] if len(constraints) == 1 else "oracle-conjunction"
     log = []
-    for i, var in enumerate(scope_vars):
-        for v in values[i]:
-            if (var, v) not in supported:
-                dom.remove(var, v)
-                log.append(Pruning(var, v, cause))
+    for var, mask in zip(scope_vars, supported):
+        for v in bits_of(dom.masks[var] & ~mask):
+            dom.remove(var, v)
+            log.append(Pruning(var, v, cause))
     wipeout = any(dom.is_empty(v) for v in scope_vars)
     return PropagationOutcome(log, wipeout, dom)
 

@@ -83,12 +83,6 @@ class DomainSet:
     def size(self, var: int) -> int:
         return self.masks[var].bit_count()
 
-    def single_value(self, var: int) -> int:
-        mask = self.masks[var]
-        if mask == 0 or mask & (mask - 1):
-            raise ValueError(f"variable {var} is not assigned a single value")
-        return mask.bit_length() - 1
-
     def is_empty(self, var: int) -> bool:
         return self.masks[var] == 0
 

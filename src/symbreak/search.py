@@ -72,15 +72,16 @@ def ge_tree_candidates(
     """Branching values for var: per class, the values the partial assignment
     already uses plus the smallest unused one; off-class values pass through."""
     used = set(partial.values())
+    smallest_unused: dict[tuple[int, ...], Optional[int]] = {}
     out = []
     for value in dom.values(var):
         cls = partition.class_of(value)
-        if cls is None or value in used:
-            out.append(value)
-            continue
-        smallest_unused = next((v for v in cls if v not in used), None)
-        if value == smallest_unused:
-            out.append(value)
+        if cls is not None and value not in used:
+            if cls not in smallest_unused:
+                smallest_unused[cls] = next((v for v in cls if v not in used), None)
+            if value != smallest_unused[cls]:
+                continue
+        out.append(value)
     return out
 
 
@@ -110,12 +111,8 @@ def solve(
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
     num_vars = problem.num_vars
-    assigned: list[Optional[int]] = [None] * num_vars
+    partial: dict[int, int] = {}  # the current assignment, var -> value
     min_domain = strategy.var_order == "min-domain"
-    if ge_mode:
-        classes = list(partition.classes)
-        class_index = {v: ci for ci, cls in enumerate(classes) for v in cls}
-    used_counts: dict[int, int] = {}
     start = time.perf_counter()
 
     def finish():
@@ -131,36 +128,17 @@ def solve(
     def pick_var(dom: DomainSet) -> Optional[int]:
         if not min_domain:
             for i in range(num_vars):
-                if assigned[i] is None:
+                if i not in partial:
                     return i
             return None
         best, best_size = None, None
         for i in range(num_vars):
-            if assigned[i] is not None:
+            if i in partial:
                 continue
             size = dom.size(i)
             if best_size is None or size < best_size:
                 best, best_size = i, size
         return best
-
-    def candidates(dom: DomainSet, var: int) -> list[int]:
-        values = dom.values(var)
-        if not ge_mode:
-            return values
-        out = []
-        smallest_unused: dict[int, Optional[int]] = {}
-        for value in values:
-            ci = class_index.get(value)
-            if ci is None or used_counts.get(value, 0) > 0:
-                out.append(value)
-                continue
-            if ci not in smallest_unused:
-                smallest_unused[ci] = next(
-                    (v for v in classes[ci] if used_counts.get(v, 0) == 0), None
-                )
-            if value == smallest_unused[ci]:
-                out.append(value)
-        return out
 
     stop = False
 
@@ -173,7 +151,7 @@ def solve(
         if var is None:
             # Checker-only constraints never prune, so leaves are re-verified.
             stats.branches += 1
-            vec = tuple(assigned)
+            vec = tuple(partial[i] for i in range(num_vars))
             if all(c.check(vec) for c in problem.constraints):
                 stats.solutions += 1
                 if goal != "count":
@@ -183,7 +161,7 @@ def solve(
             else:
                 stats.backtracks += 1
             return
-        cands = candidates(dom, var)
+        cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
         if not cands:
             stats.branches += 1
             stats.backtracks += 1
@@ -194,19 +172,15 @@ def solve(
             child.assign(var, value)
             pruned, wiped = engine.run(child, changed=(var,))
             stats.prunings += pruned
-            assigned[var] = value
-            if ge_mode:
-                used_counts[value] = used_counts.get(value, 0) + 1
+            partial[var] = value
             if node_hook is not None:
-                node_hook({i: v for i, v in enumerate(assigned) if v is not None})
+                node_hook(dict(partial))
             if wiped:
                 stats.branches += 1
                 stats.backtracks += 1
             else:
                 descend(child)
-            assigned[var] = None
-            if ge_mode:
-                used_counts[value] -= 1
+            del partial[var]
             if stop:
                 return
 

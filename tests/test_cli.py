@@ -137,6 +137,35 @@ def test_recursion_limit_exit_code(capsys, tmp_path):
     assert "recursion" in err
 
 
+def test_oracle_gac_past_recursion_limit(capsys, tmp_path):
+    # the oracles walk an explicit stack, so depth is no longer an error
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "format": 1, "variables": sys.getrecursionlimit() + 500, "values": 1, "classes": [[1]],
+    }))
+    code, out, err = run_cli(capsys, "propagate", str(path), "--level", "oracle-gac")
+    assert code == 0
+    doc = json_part(out)
+    assert doc["prunings"] == [] and doc["wipeout"] is False
+
+
+def test_budget_below_one_is_a_usage_error(capsys, monkeypatch):
+    for flag in ("0", "-5"):
+        code, out, err = run_cli(capsys, "compare", "staircase", "--budget", flag)
+        assert code == 2
+        assert out == ""
+        assert "budget must be at least 1" in err
+    monkeypatch.setenv("SYMBREAK_BUDGET", "0")
+    code, out, err = run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac")
+    assert code == 2
+    assert out == ""
+    assert "budget must be at least 1" in err
+    # an explicit --budget still overrides the environment
+    code, out, _ = run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac", "--budget", "1000")
+    assert code == 0
+    assert json_part(out)["prunings"]
+
+
 def test_compare_staircase_strict_gap_and_order(capsys):
     code, out, _ = run_cli(capsys, "compare", "staircase")
     assert code == 0

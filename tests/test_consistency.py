@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from symbreak import (
@@ -88,6 +90,24 @@ def test_oracle_budget_refusal():
     dom = DomainSet.full(6, 6)
     with pytest.raises(BudgetExceeded):
         brute_force_gac([DisjunctionEq(1, range(6))], dom, budget=100)
+
+
+def test_oracles_walk_past_the_recursion_limit():
+    # one assignment level per variable must not cost one Python frame each
+    n = sys.getrecursionlimit() + 500
+    dom = DomainSet.full(n, 1)
+    covered = [DisjunctionEq(1, range(n))]
+    assert enumerate_solutions(Problem(n, 1, dom, tuple(covered))) == [(1,) * n]
+    assert has_support(covered, dom, n - 1, 1)
+    out = brute_force_gac(covered, dom)
+    assert out.prunings == [] and not out.wipeout
+
+    # a check that only the last variable completes fails at full depth
+    refuted = [StrictLess(0, n - 1)]
+    assert enumerate_solutions(Problem(n, 1, dom, tuple(refuted))) == []
+    assert not has_support(refuted, dom, 0, 1)
+    out = brute_force_gac(refuted, dom)
+    assert out.wipeout and out.pruned_pairs() == {(0, 1), (n - 1, 1)}
 
 
 # ------------------------------------------------------------------- support
