@@ -6,9 +6,10 @@ comparison experiments. Reports go to stdout as a JSON document followed by
 an aligned text table; wall-clock timings go to stderr so stdout stays
 byte-for-byte reproducible.
 
-Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error,
-3 enumeration budget exceeded, 4 search timed out, 5 the problem is too large
-for the recursive search, 10 the instance is unsatisfiable.
+Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error
+(including input nested too deeply to read), 3 enumeration budget exceeded,
+4 search timed out, 10 the instance is unsatisfiable. Search and the oracles
+walk explicit stacks, so the number of variables is not limited by recursion.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TIMEOUT = 4
-EXIT_TOO_DEEP = 5
 EXIT_UNSAT = 10
 
 METHODS = ("none", "precedence", "generator-lex", "puget", "ge-tree")
@@ -457,9 +457,6 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_USAGE)
     except BudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
-    except RecursionError:
-        # search recurses once per variable
-        return _fail("problem too large: recursion depth exceeded", EXIT_TOO_DEEP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -251,35 +251,37 @@ def is_k_consistent(
         return ConsistencyReport(k, True)
 
     visited = 0
-
-    def descend(subset, i, acc, partial):
-        nonlocal visited
-        if i == len(subset):
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(
-                    f"consistency check visited over {budget} assignments"
-                )
-            for other in range(num_vars):
-                if other not in partial and acc[other] == 0:
-                    return ConsistencyWitness(dict(partial), other, k)
-            return None
-        var = subset[i]
-        for value in dom.values(var):
-            if not acc[var] >> value & 1:
-                continue
-            partial[var] = value
-            witness = descend(subset, i + 1, tables.narrow(acc, var, value), partial)
-            if witness is not None:
-                return witness
-            del partial[var]
-        return None
-
     base = list(dom.masks)
     for subset in itertools.combinations(range(num_vars), size):
-        witness = descend(subset, 0, base, {})
-        if witness is not None:
-            return ConsistencyReport(k, False, witness)
+        # An explicit stack over subset positions: position i tries values[i]
+        # from next_index[i] against accs[i], the masks its prefix allows.
+        values = [dom.values(var) for var in subset]
+        next_index = [0] * size
+        accs = [base] * (size + 1)
+        partial: dict[int, int] = {}
+        i = 0
+        while i >= 0:
+            if i == size:
+                visited += 1
+                if visited > budget:
+                    raise BudgetExceeded(f"consistency check visited over {budget} assignments")
+                for other in range(num_vars):
+                    if other not in partial and accs[size][other] == 0:
+                        return ConsistencyReport(k, False, ConsistencyWitness(dict(partial), other, k))
+                i -= 1
+                continue
+            var, j = subset[i], next_index[i]
+            if j == len(values[i]):
+                partial.pop(var, None)
+                next_index[i] = 0
+                i -= 1
+                continue
+            next_index[i] = j + 1
+            value = values[i][j]
+            if accs[i][var] >> value & 1:
+                partial[var] = value
+                accs[i + 1] = tables.narrow(accs[i], var, value)
+                i += 1
     return ConsistencyReport(k, True)
 
 

@@ -506,9 +506,8 @@ class DisjunctionEq(Constraint):
                 first = var
         if first < 0:
             return self._wipe_scope(dom, [])
-        removed = [(first, v) for v in dom.values(first) if v != self.value]
-        for var, v in removed:
-            dom.remove(var, v)
+        removed = [(first, v) for v in bits_of(masks[first] ^ bit)]
+        masks[first] = bit
         return removed
 
     def describe(self) -> str:

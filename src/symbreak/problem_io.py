@@ -225,10 +225,12 @@ def problem_to_dict(problem: Problem) -> dict:
 def load_problem(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            # both the JSON decoder and nested "conditional" constraints recurse
+            return problem_from_dict(json.load(handle))
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    return problem_from_dict(doc)
+        except RecursionError:
+            raise ProblemFormatError("nesting too deep") from None
 
 
 def save_problem(problem: Problem, path: str) -> None:

@@ -8,6 +8,10 @@ symmetry class of solutions. Candidate narrowing applies to the next
 branching variable only; deeper variables keep their full domains until
 propagation or branching reaches them.
 
+The search is one loop over an explicit stack, one frame per assigned
+variable, and each child copies its parent's domain masks. Depth costs no
+Python recursion, so the recursion limit does not bound the variable count.
+
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
 candidate set. A failure at the root therefore counts zero branches.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .breaking import ValueClassPartition
 from .engine import DomainSet, Problem, PropagationEngine
@@ -119,33 +123,23 @@ def solve(
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         return solutions, stats
 
-    dom0 = (domains if domains is not None else problem.domains).copy()
-    pruned, wiped = engine.run(dom0)
+    dom = (domains if domains is not None else problem.domains).copy()
+    pruned, wiped = engine.run(dom)
     stats.prunings += pruned
     if wiped:
         return finish()
 
     def pick_var(dom: DomainSet) -> Optional[int]:
-        if not min_domain:
-            for i in range(num_vars):
-                if i not in partial:
-                    return i
-            return None
-        best, best_size = None, None
-        for i in range(num_vars):
-            if i in partial:
-                continue
-            size = dom.size(i)
-            if best_size is None or size < best_size:
-                best, best_size = i, size
-        return best
+        free = (i for i in range(num_vars) if i not in partial)
+        return min(free, key=dom.size, default=None) if min_domain else next(free, None)
 
-    stop = False
-
-    def descend(dom: DomainSet) -> None:
-        nonlocal stop
+    # One frame per variable on the current path: (var, its domain before
+    # branching, the candidates not yet tried). dom is the node being entered,
+    # the root or a child that propagation did not wipe out.
+    stack: list[tuple[int, DomainSet, Iterator[int]]] = []
+    while True:
         if deadline is not None and time.perf_counter() > deadline:
-            stats.wall_ms = (time.perf_counter() - start) * 1000.0
+            finish()
             raise SearchTimeout(stats)
         var = pick_var(dom)
         if var is None:
@@ -157,32 +151,35 @@ def solve(
                 if goal != "count":
                     solutions.append(vec)
                 if goal == "first":
-                    stop = True
+                    return finish()
             else:
                 stats.backtracks += 1
-            return
-        cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
-        if not cands:
-            stats.branches += 1
-            stats.backtracks += 1
-            return
-        for value in cands:
+        else:
+            cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
+            if cands:
+                stack.append((var, dom, iter(cands)))
+            else:
+                stats.branches += 1
+                stats.backtracks += 1
+        while stack:  # advance to the next child that survives propagation
+            var, parent, untried = stack[-1]
+            value = next(untried, None)
+            if value is None:
+                stack.pop()
+                del partial[var]
+                continue
             stats.nodes += 1
-            child = dom.copy()
+            child = parent.copy()
             child.assign(var, value)
             pruned, wiped = engine.run(child, changed=(var,))
             stats.prunings += pruned
             partial[var] = value
             if node_hook is not None:
                 node_hook(dict(partial))
-            if wiped:
-                stats.branches += 1
-                stats.backtracks += 1
-            else:
-                descend(child)
-            del partial[var]
-            if stop:
-                return
-
-    descend(dom0)
-    return finish()
+            if not wiped:
+                dom = child
+                break
+            stats.branches += 1
+            stats.backtracks += 1
+        if not stack:
+            return finish()

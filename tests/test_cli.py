@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 
-from symbreak.cli import EXIT_TIMEOUT, EXIT_TOO_DEEP, main
+import symbreak
+from symbreak.cli import EXIT_TIMEOUT, main
 from symbreak.problem_io import save_problem
 from symbreak import surjection_fixture
 
@@ -126,15 +128,32 @@ def test_solve_timeout_exit_code(capsys):
     assert "timed out" in err
 
 
-def test_recursion_limit_exit_code(capsys, tmp_path):
-    # search recurses once per variable; a problem deeper than the recursion
-    # limit must end in its own exit code, not a traceback
+def test_solve_past_recursion_limit(capsys, tmp_path):
+    # search walks an explicit stack, so depth is no longer an error
+    n = sys.getrecursionlimit() + 500
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"format": 1, "variables": sys.getrecursionlimit() + 500, "values": 1}))
-    code, out, err = run_cli(capsys, "solve", str(path), "--goal", "first")
-    assert code == EXIT_TOO_DEEP
-    assert out == ""
-    assert "recursion" in err
+    for extra, method in (({}, "none"), ({"classes": [[1]]}, "ge-tree")):
+        path.write_text(json.dumps({"format": 1, "variables": n, "values": 1, **extra}))
+        code, out, err = run_cli(capsys, "solve", str(path), "--goal", "first", "--method", method)
+        assert code == 0
+        assert json_part(out)["solutions"] == [[1] * n]
+
+
+def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path):
+    # the JSON decoder and nested conditionals recurse while loading
+    depth = 995
+    chain = (
+        '{"format": 1, "variables": 2, "values": 2, "constraints": ['
+        + '{"type": "conditional", "cond_var": 0, "cond_parity": "odd", "inner": ' * depth
+        + '{"type": "strict_less", "less_var": 0, "greater_var": 1}' + "}" * depth + "]}"
+    )
+    for name, text in (("brackets.json", "[" * 100_000), ("chain.json", chain)):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert "nesting too deep" in err
 
 
 def test_oracle_gac_past_recursion_limit(capsys, tmp_path):
@@ -296,10 +315,13 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(symbreak.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "symbreak.cli", "solve", "pigeonhole:4", "--method", "precedence", "--goal", "count"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 10
     assert '"command": "solve"' in proc.stdout

@@ -109,6 +109,12 @@ def test_oracles_walk_past_the_recursion_limit():
     out = brute_force_gac(refuted, dom)
     assert out.wipeout and out.pruned_pairs() == {(0, 1), (n - 1, 1)}
 
+    # the k-consistency walk assigns one subset variable per level
+    assert is_k_consistent(Problem(n, 1, dom), n + 1).holds
+    report = is_k_consistent(Problem(n, 1, dom, tuple(refuted)), n)
+    assert not report.holds and report.witness.variable == n - 1
+    assert report.witness.assignment == {var: 1 for var in range(n - 1)}
+
 
 # ------------------------------------------------------------------- support
 

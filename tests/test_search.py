@@ -12,7 +12,7 @@ from symbreak import (
     pigeonhole_model,
     solve,
 )
-from symbreak.breaking import ValueClassPartition, build_precedence
+from symbreak.breaking import ValueClassPartition, build_generator_lex, build_precedence
 from symbreak.constraints import StrictLess
 
 from conftest import make_rng, random_domains, random_partition
@@ -27,6 +27,39 @@ def rgs_leaf_count(length):
         return sum(rec(pos + 1, max(mx, v)) for v in range(1, mx + 2))
 
     return 1 if length == 0 else rec(0, 0)
+
+
+# solve(goal="count") on pigeonhole_model(n): n -> (nodes, branches,
+# backtracks, prunings, solutions). A rewrite of the search loop or of a filter
+# that only aims at speed must leave every entry as it is. GE-tree counts are
+# the same in both variable orders.
+COUNTER_FIELDS = ("nodes", "branches", "backtracks", "prunings", "solutions")
+PIGEONHOLE_GE_TREE = {
+    2: (1, 1, 1, 4, 0), 3: (3, 2, 2, 12, 0), 4: (8, 5, 5, 40, 0), 5: (23, 15, 15, 150, 0),
+    6: (75, 52, 52, 624, 0), 7: (278, 203, 203, 2842, 0), 8: (1155, 877, 877, 14032, 0),
+    9: (5295, 4140, 4140, 74520, 0),
+}
+PIGEONHOLE_PRECEDENCE = {n: (0, 0, 0, n * (n + 1), 0) for n in range(2, 11)}
+PIGEONHOLE_GENERATOR_LEX = {
+    2: (3, 3, 3, 12, 0), 3: (8, 7, 7, 51, 0), 4: (20, 17, 17, 180, 0), 5: (54, 46, 46, 610, 0),
+    6: (168, 145, 145, 2202, 0), 7: (608, 533, 533, 8932, 0), 8: (2511, 2233, 2233, 40976, 0),
+}
+
+
+def test_pigeonhole_search_counters_are_pinned():
+    def record(problem, strategy=None):
+        _, stats = solve(problem, strategy=strategy, goal="count")
+        return stats.as_record()
+
+    for n, counts in PIGEONHOLE_GE_TREE.items():
+        expected = dict(zip(COUNTER_FIELDS, counts))
+        for order in ("lex", "min-domain"):
+            assert record(pigeonhole_model(n), Strategy(mode="ge-tree", var_order=order)) == expected
+    for table, builder in ((PIGEONHOLE_PRECEDENCE, build_precedence),
+                           (PIGEONHOLE_GENERATOR_LEX, build_generator_lex)):
+        for n, counts in table.items():
+            prob = pigeonhole_model(n)
+            assert record(prob.with_constraints(builder(prob))) == dict(zip(COUNTER_FIELDS, counts))
 
 
 def test_candidates_used_plus_one_fresh():
