@@ -84,6 +84,15 @@ def _budget(args) -> int:
     return budget
 
 
+def _timeout(args) -> float:
+    """The --timeout in seconds. Zero, negative, NaN and infinite values are
+    usage errors: none of them is a deadline a search could meet or miss."""
+    timeout = args.timeout
+    if not 0 < timeout < float("inf"):  # also false for NaN
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
+    return timeout
+
+
 def _resolve_problem(spec: str) -> Problem:
     """A problem file path, or a named generator like pigeonhole:8,
     staircase, surjection, chained-pairs:3."""
@@ -130,7 +139,7 @@ def cmd_solve(args) -> int:
         var_order=args.var_order,
         mode="ge-tree" if args.method == "ge-tree" else "static",
     )
-    deadline = time.perf_counter() + args.timeout if args.timeout else None
+    deadline = time.perf_counter() + args.timeout if args.timeout is not None else None
     try:
         solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=deadline)
     except SearchTimeout:
@@ -284,7 +293,7 @@ def cmd_bench_getree(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         problem = pigeonhole_model(n)
         static_problem = problem.with_constraints(build_precedence(problem))
-        deadline = time.perf_counter() + args.timeout if args.timeout else None
+        deadline = time.perf_counter() + args.timeout if args.timeout is not None else None
         try:
             _, static = solve(static_problem, goal="count", deadline=deadline)
             _, getree = solve(
@@ -450,6 +459,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "budget"):
             args.budget = _budget(args)
+        if getattr(args, "timeout", None) is not None:
+            args.timeout = _timeout(args)
         return args.func(args)
     except (ProblemFormatError, DimacsError) as exc:
         return _fail(str(exc), EXIT_USAGE)

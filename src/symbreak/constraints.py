@@ -134,6 +134,13 @@ class LexLeqPermuted(Constraint):
         if len(set(self.order)) != len(self.order):
             raise ValueError("variable order contains duplicates")
         self.scope = self.order
+        # The image of a domain mask moves only the bits of the moved points
+        # (two for a transposition); every other bit, including values above
+        # perm.size, maps to itself.
+        moved = perm.moved_points()
+        self._fixed = ~mask_of(v for v, _ in moved)
+        self._moved = tuple((1 << v, 1 << s) for v, s in moved)
+        self._preimage = {s: v for v, s in moved}
 
     def check(self, assignment) -> bool:
         perm = self.perm
@@ -146,73 +153,93 @@ class LexLeqPermuted(Constraint):
                 return False
         return True
 
+    def _image(self, mask: int) -> int:
+        image = mask & self._fixed
+        for src, dst in self._moved:
+            if mask & src:
+                image |= dst
+        return image
+
+    def _can_settle(self, masks: list[int], p: int) -> bool:
+        """Whether positions p.. can still settle the comparison as <=: the
+        first position that can fall strictly below its image comes before
+        the first one that cannot tie (or every position can tie)."""
+        order = self.order
+        image = self._image
+        for var in order[p:]:
+            left = masks[var]
+            right = image(left)
+            if (left & -left) << 1 <= right:
+                return True
+            if not left & right:
+                return False
+        return True
+
     def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
-        perm = self.perm
-        inverse = perm.inverse()
+        # Frisch et al.'s alpha/beta scheme on masks. Position p holds the
+        # left mask L (the domain) and the right mask R (its image). It can
+        # fall strictly below iff min L < max R, which for masks reads
+        # 2 * lowbit(L) <= R; it can tie iff L & R. Scanning forward, the
+        # first position that can fall below is beta; meeting a position that
+        # can do neither first means no support. Positions before beta can
+        # only tie, at the one common value c = min L = max R, so they keep c
+        # on both sides; beta keeps left values below max R and right values
+        # above min L, plus the tie values when the tail can settle the
+        # comparison. A removal at p changes only position p, and the
+        # positions before it keep nothing but c, so the scan resumes at p.
+        masks = dom.masks
         order = self.order
         n = len(order)
+        image = self._image
+        preimage = self._preimage
         removed: list[tuple[int, int]] = []
-
-        changed = True
-        while changed:
-            changed = False
-            left = [dom.values(var) for var in order]
-            if not all(left):
-                return self._wipe_scope(dom, removed)  # an empty position has no support
-            right = [sorted(perm(v) for v in vals) for vals in left]
-
-            # alpha: first position where the two sides cannot tie.
-            alpha = n
-            for p in range(n):
-                if not set(left[p]) & set(right[p]):
-                    alpha = p
-                    break
-            # beta: first position up to alpha that can decide strictly-less.
-            beta = None
-            for p in range(min(alpha, n - 1) + 1):
-                if p < n and left[p][0] < right[p][-1]:
-                    beta = p
-                    break
-            if beta is None and alpha < n:
-                # Some prefix position must decide, and only as greater.
-                return self._wipe_scope(dom, removed)
-
-            # suffix_ok[p]: positions p.. can settle the comparison as <= .
-            suffix_ok = [False] * (n + 1)
-            suffix_ok[n] = True
-            for p in range(n - 1, -1, -1):
-                ties = bool(set(left[p]) & set(right[p]))
-                suffix_ok[p] = left[p][0] < right[p][-1] or (ties and suffix_ok[p + 1])
-
-            for p, var in enumerate(order):
-                if beta is not None and beta < p:
-                    break  # an earlier position decides: everything supported
-                max_right = right[p][-1]
-                min_left = left[p][0]
-                right_set = set(right[p])
-                left_set = set(left[p])
-                keep_tail = suffix_ok[p + 1]
-                for v in left[p]:
-                    if v < max_right or (v in right_set and keep_tail):
-                        continue
-                    dom.remove(var, v)
-                    removed.append((var, v))
-                    changed = True
-                for w in right[p]:
-                    if w > min_left or (w in left_set and keep_tail):
-                        continue
-                    v = inverse(w)
-                    if dom.contains(var, v):
-                        dom.remove(var, v)
-                        removed.append((var, v))
-                        changed = True
-                if dom.is_empty(var):
-                    # Channelling emptied the position: the decomposition has
-                    # no support left anywhere.
+        if not all(map(masks.__getitem__, order)):
+            return self._wipe_scope(dom, removed)  # an empty position has no support
+        start = 0
+        while True:
+            dirty = -1
+            p = start
+            while p < n:
+                left = masks[order[p]]
+                right = image(left)
+                low = left & -left
+                if low << 1 <= right:
+                    break  # beta
+                if not left & right:
+                    # Nothing so far can fall below, and this cannot tie.
                     return self._wipe_scope(dom, removed)
-                if changed:
-                    break  # flag arrays are stale; recompute
-        return removed
+                if dirty < 0 and left != right:
+                    dirty, dirty_left, dirty_right = p, left, right
+                p += 1
+            if dirty >= 0:
+                # A tie-only position holding more than c; the tail after it
+                # can always settle, since it ties up to beta or to the end.
+                p, left, right = dirty, dirty_left, dirty_right
+                low = left & -left
+            elif p == n:
+                return removed  # every position ties at its c already
+            high = 1 << (right.bit_length() - 1)
+            left_out = left & -(high << 1)  # above max R
+            right_out = right & (low - 1)  # below min L
+            if dirty < 0 and (left & high or right & low) and not self._can_settle(masks, p + 1):
+                left_out |= left & high
+                right_out |= right & low
+            if not (left_out or right_out):
+                return removed
+            var = order[p]
+            kept = left & ~left_out
+            removed += [(var, v) for v in bits_of(left_out)]
+            for w in bits_of(right_out):
+                v = preimage.get(w, w)
+                if kept >> v & 1:
+                    kept ^= 1 << v
+                    removed.append((var, v))
+            masks[var] = kept
+            if not kept:
+                # Channelling emptied the position: the decomposition has
+                # no support left anywhere.
+                return self._wipe_scope(dom, removed)
+            start = p
 
     def describe(self) -> str:
         moved = ",".join(f"{a}<->{b}" for a, b in self.perm.moved_points() if a < b)

@@ -83,9 +83,11 @@ def constraint_from_json(doc: dict, num_vars: int, num_values: int) -> Constrain
     where = f"constraint {kind!r}"
     if kind == "lex_leq_permuted":
         sigma = doc.get("sigma")
-        _expect(isinstance(sigma, list) and sorted(sigma) == list(range(1, num_values + 1)),
-                f"{where}: sigma must be a permutation of 1..{num_values}")
-        return LexLeqPermuted(Permutation(sigma), _scope(doc.get("order"), num_vars, where))
+        message = f"{where}: sigma must be a permutation of 1..{num_values}"
+        _expect(isinstance(sigma, list), message)
+        image = [_value(v, num_values, where) for v in sigma]
+        _expect(sorted(image) == list(range(1, num_values + 1)), message)
+        return LexLeqPermuted(Permutation(image), _scope(doc.get("order"), num_vars, where))
     if kind == "precedence":
         values = doc.get("values")
         _expect(isinstance(values, list) and values, f"{where}: values must be a non-empty list")

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import symbreak
 from symbreak.cli import EXIT_TIMEOUT, main
 from symbreak.problem_io import save_problem
@@ -183,6 +185,36 @@ def test_budget_below_one_is_a_usage_error(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac", "--budget", "1000")
     assert code == 0
     assert json_part(out)["prunings"]
+
+
+def test_timeout_must_be_positive_and_finite(capsys):
+    # 0 and nan used to mean "no deadline", -1 an instant timeout
+    for value in ("0", "nan", "-1", "inf"):
+        code, out, err = run_cli(
+            capsys, "solve", "pigeonhole:9", "--method", "ge-tree", "--goal", "count", "--timeout", value
+        )
+        assert code == 2, value
+        assert out == ""
+        assert "timeout must be a positive number of seconds" in err
+    code, out, err = run_cli(capsys, "bench-getree", "--n-min", "4", "--n-max", "5", "--timeout", "-1")
+    assert code == 2
+    assert out == ""
+    code, out, _ = run_cli(capsys, "solve", "pigeonhole:4", "--method", "ge-tree", "--goal", "count", "--timeout", "30")
+    assert code == 10
+    assert json_part(out)["stats"]["nodes"] == 8
+
+
+@pytest.mark.parametrize("sigma", [["a", 1], [1.0, 2.0], [True, 2]], ids=["string", "float", "bool"])
+def test_malformed_sigma_is_a_usage_error(capsys, tmp_path, sigma):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({
+        "format": 1, "variables": 2, "values": 2,
+        "constraints": [{"type": "lex_leq_permuted", "sigma": sigma, "order": [0, 1]}],
+    }))
+    code, out, err = run_cli(capsys, "propagate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "value must be an integer" in err
 
 
 def test_compare_staircase_strict_gap_and_order(capsys):

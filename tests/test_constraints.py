@@ -118,6 +118,42 @@ def test_lex_filter_matches_decomposition_oracle():
         assert got == want and mine == final
 
 
+def test_lex_filter_matches_decomposition_oracle_on_wider_cases():
+    # scopes in shuffled order over more variables than they cover, values
+    # above perm.size (fixed by the map), the adjacent transpositions that
+    # build_generator_lex posts, empty positions, and n up to 10; the engine
+    # counts prunings as len(removed), so no pair may be reported twice
+    rng = make_rng(11)
+    for trial in range(3000):
+        m = rng.randint(2, 6)
+        n = rng.randint(1, 10)
+        num_vars = n + rng.randint(0, 3)
+        order = rng.sample(range(num_vars), n)
+        img = list(range(1, m + 1))
+        if trial % 2:
+            a = rng.randint(1, m - 1)
+            img[a - 1], img[a] = img[a], img[a - 1]
+        else:
+            rng.shuffle(img)
+        perm = Permutation(img)
+        top = m + rng.randint(0, 2)
+        lists = []
+        for _ in range(num_vars):
+            roll = rng.random()
+            if roll < 0.03:
+                lists.append([])
+            elif roll < 0.4:
+                lists.append([rng.randint(1, top)])
+            else:
+                lists.append(sorted(rng.sample(range(1, top + 1), rng.randint(2, top))))
+        dom = DomainSet.from_values(lists)
+        mine = dom.copy()
+        removed = LexLeqPermuted(perm, order).propagate(mine)
+        want, final, _ = decomposed_lex_filter(perm, order, dom)
+        assert len(removed) == len(set(removed)), (img, order, lists)
+        assert set(removed) == want and mine == final, (img, order, lists)
+
+
 def test_lex_filter_sound_for_shared_assignment_semantics():
     # the decomposition never removes a value that the exact constraint keeps
     rng = make_rng(4)

@@ -43,6 +43,13 @@ PIGEONHOLE_PRECEDENCE = {n: (0, 0, 0, n * (n + 1), 0) for n in range(2, 11)}
 PIGEONHOLE_GENERATOR_LEX = {
     2: (3, 3, 3, 12, 0), 3: (8, 7, 7, 51, 0), 4: (20, 17, 17, 180, 0), 5: (54, 46, 46, 610, 0),
     6: (168, 145, 145, 2202, 0), 7: (608, 533, 533, 8932, 0), 8: (2511, 2233, 2233, 40976, 0),
+    9: (11560, 10405, 10405, 208953, 0),
+}
+# Recorded separately with var_order="min-domain"; on full pigeonhole
+# domains it visits the same tree as "lex".
+PIGEONHOLE_GENERATOR_LEX_MIN_DOMAIN = {
+    2: (3, 3, 3, 12, 0), 3: (8, 7, 7, 51, 0), 4: (20, 17, 17, 180, 0), 5: (54, 46, 46, 610, 0),
+    6: (168, 145, 145, 2202, 0), 7: (608, 533, 533, 8932, 0), 8: (2511, 2233, 2233, 40976, 0),
 }
 
 
@@ -60,6 +67,10 @@ def test_pigeonhole_search_counters_are_pinned():
         for n, counts in table.items():
             prob = pigeonhole_model(n)
             assert record(prob.with_constraints(builder(prob))) == dict(zip(COUNTER_FIELDS, counts))
+    for n, counts in PIGEONHOLE_GENERATOR_LEX_MIN_DOMAIN.items():
+        prob = pigeonhole_model(n)
+        prob = prob.with_constraints(build_generator_lex(prob))
+        assert record(prob, Strategy(var_order="min-domain")) == dict(zip(COUNTER_FIELDS, counts))
 
 
 def test_candidates_used_plus_one_fresh():
