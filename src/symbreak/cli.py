@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .breaking import ClassCanonical, build_generator_lex, build_precedence, build_puget
 from .consistency import (
@@ -230,7 +231,7 @@ def cmd_compare(args) -> int:
     problem = _resolve_problem(args.problem)
     if problem.partition is None:
         return _fail("compare requires 'classes' in the problem", EXIT_USAGE)
-    base = Problem(problem.num_vars, problem.num_values, problem.domains, (), problem.partition)
+    base = replace(problem, constraints=())
 
     results = {}
     genlex = propagate_fixpoint(base.with_constraints(build_generator_lex(base)))

@@ -11,6 +11,11 @@ every scope variable is unsupported and all of them are removed. This keeps
 each filter's output identical to the brute-force support enumeration across
 the whole domain lattice, wipeouts included.
 
+Every filter writes domains through `_narrow`, the one place in this module
+that clears domain bits and records removals. A removal list therefore holds
+its pairs in write order, ascending by value within each write, and no pair
+twice, since a cleared value never returns.
+
 Constraints are immutable after construction and keep no state between calls.
 """
 
@@ -19,6 +24,27 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .engine import DomainSet, bits_of, mask_of
+
+
+def _narrow(masks: list[int], var: int, kept: int,
+            removed: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Clear the bits of masks[var] outside kept; append each cleared
+    (var, value) pair to removed, values ascending, and return removed."""
+    lost = masks[var] & ~kept
+    masks[var] ^= lost
+    while lost:
+        low = lost & -lost
+        removed.append((var, low.bit_length() - 1))
+        lost ^= low
+    return removed
+
+
+def _distinct_scope(scope: Sequence[int]) -> tuple[int, ...]:
+    # A repeated variable would break the filters' strength and idempotence.
+    scope = tuple(scope)
+    if len(set(scope)) != len(scope):
+        raise ValueError(f"scope {list(scope)} repeats a variable")
+    return scope
 
 
 def value_parity(value: int) -> str:
@@ -104,12 +130,7 @@ class Constraint:
         # No support exists at all: every remaining scope value goes.
         masks = dom.masks
         for var in self.scope:
-            mask = masks[var]
-            masks[var] = 0
-            while mask:
-                low = mask & -mask
-                removed.append((var, low.bit_length() - 1))
-                mask ^= low
+            _narrow(masks, var, 0, removed)
         return removed
 
 
@@ -130,10 +151,7 @@ class LexLeqPermuted(Constraint):
 
     def __init__(self, perm: Permutation, order: Sequence[int]):
         self.perm = perm
-        self.order = tuple(order)
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("variable order contains duplicates")
-        self.scope = self.order
+        self.order = self.scope = _distinct_scope(order)
         # The image of a domain mask moves only the bits of the moved points
         # (two for a transposition); every other bit, including values above
         # perm.size, maps to itself.
@@ -227,15 +245,10 @@ class LexLeqPermuted(Constraint):
             if not (left_out or right_out):
                 return removed
             var = order[p]
-            kept = left & ~left_out
-            removed += [(var, v) for v in bits_of(left_out)]
+            _narrow(masks, var, ~left_out, removed)
             for w in bits_of(right_out):
-                v = preimage.get(w, w)
-                if kept >> v & 1:
-                    kept ^= 1 << v
-                    removed.append((var, v))
-            masks[var] = kept
-            if not kept:
+                _narrow(masks, var, ~(1 << preimage.get(w, w)), removed)
+            if not masks[var]:
                 # Channelling emptied the position: the decomposition has
                 # no support left anywhere.
                 return self._wipe_scope(dom, removed)
@@ -263,7 +276,7 @@ class Precedence(Constraint):
         if list(values) != sorted(set(values)):
             raise ValueError("class values must be strictly ascending")
         self.class_values = values
-        self.scope = tuple(scope)
+        self.scope = _distinct_scope(scope)
         self.level_of = {v: t for t, v in enumerate(values, start=1)}
         self.class_mask = mask_of(values)
         # prefix_masks[k] covers the first k class values
@@ -301,8 +314,7 @@ class Precedence(Constraint):
         for p, var in enumerate(scope):
             reach_before[p] = reach
             m = masks[var]
-            allowed = min(reach + 1, c)
-            if not (m & ~class_mask) and not (m & prefix_masks[allowed]):
+            if not m & (~class_mask | prefix_masks[min(reach + 1, c)]):
                 return self._wipe_scope(dom, [])
             if reach < c and m >> values[reach] & 1:
                 reach += 1
@@ -324,20 +336,18 @@ class Precedence(Constraint):
                 cand = nxt
             need[p] = max(minfeas, cand)
 
+        # A class value of level t survives iff t <= rb + 1 and max(rb, t) >= gn,
+        # any other value iff rb >= gn; so with rb < gn only level gn == rb + 1.
         removed: list[tuple[int, int]] = []
-        level_of = self.level_of
         for p, var in enumerate(scope):
             rb = reach_before[p]
             gn = need[p + 1]
-            for v in dom.values(var):
-                t = level_of.get(v)
-                if t is None:
-                    ok = rb >= gn
-                else:
-                    ok = rb >= t - 1 and max(rb, t) >= gn
-                if not ok:
-                    dom.remove(var, v)
-                    removed.append((var, v))
+            usable = prefix_masks[min(rb + 1, c)]
+            if rb >= gn:
+                kept = usable | ~class_mask
+            else:
+                kept = usable & ~prefix_masks[gn - 1]
+            _narrow(masks, var, kept, removed)
         return removed
 
     def describe(self) -> str:
@@ -382,13 +392,11 @@ class BinaryConstraint(Constraint):
         ma = masks[a]
         kept = self.keep_a(ma, masks[b])
         if kept != ma:
-            masks[a] = kept
-            removed += [(a, v) for v in bits_of(ma ^ kept)]
+            _narrow(masks, a, kept, removed)
         mb = masks[b]
         kept = self.keep_b(mb, masks[a])
         if kept != mb:
-            masks[b] = kept
-            removed += [(b, v) for v in bits_of(mb ^ kept)]
+            _narrow(masks, b, kept, removed)
         return removed
 
 
@@ -513,7 +521,7 @@ class DisjunctionEq(Constraint):
 
     def __init__(self, value: int, scope: Sequence[int]):
         self.value = value
-        self.scope = tuple(scope)
+        self.scope = _distinct_scope(scope)
 
     def check(self, assignment) -> bool:
         value = self.value
@@ -533,9 +541,7 @@ class DisjunctionEq(Constraint):
                 first = var
         if first < 0:
             return self._wipe_scope(dom, [])
-        removed = [(first, v) for v in bits_of(masks[first] ^ bit)]
-        masks[first] = bit
-        return removed
+        return _narrow(masks, first, bit, [])
 
     def describe(self) -> str:
         return f"disjunction_eq(value={self.value})"

@@ -12,7 +12,7 @@ global state, so independent instances can run on separate threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -168,13 +168,7 @@ class Problem:
 
     def with_constraints(self, extra) -> "Problem":
         """A copy of this problem with additional constraints appended."""
-        return Problem(
-            self.num_vars,
-            self.num_values,
-            self.domains,
-            self.constraints + tuple(extra),
-            self.partition,
-        )
+        return replace(self, constraints=self.constraints + tuple(extra))
 
 
 class PropagationEngine:

@@ -125,12 +125,9 @@ def constraint_from_json(doc: dict, num_vars: int, num_values: int) -> Constrain
             _scope(doc.get("scope"), num_vars, where),
         )
     if kind == "at_least_n_values":
-        prefix = doc.get("prefix_length")
-        _expect(isinstance(prefix, int) and 1 <= prefix <= num_vars,
-                f"{where}: prefix_length outside 1..{num_vars}")
-        count = doc.get("distinct_count")
-        _expect(isinstance(count, int) and count >= 0, f"{where}: distinct_count must be non-negative")
-        return AtLeastNValues(prefix, count)
+        prefix = _int_field(doc, "prefix_length", 1)
+        _expect(prefix <= num_vars, f"{where}: prefix_length outside 1..{num_vars}")
+        return AtLeastNValues(prefix, _int_field(doc, "distinct_count", 0))
     if kind == "conditional":
         inner = doc.get("inner")
         _expect(isinstance(inner, dict), f"{where}: inner must be a constraint object")

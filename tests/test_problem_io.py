@@ -68,6 +68,14 @@ def test_defaults_full_domains_no_classes():
             constraints=[{"type": "conditional", "cond_var": 0, "cond_parity": "odd", "inner": {
                 "type": "eq_implies_eq", "var": 1, "value": 1, "other_var": 1, "other_value": 2}}]
         ),
+        lambda d: d.update(
+            constraints=[{"type": "at_least_n_values", "prefix_length": True, "distinct_count": 1}]
+        ),
+        lambda d: d.update(
+            constraints=[{"type": "at_least_n_values", "prefix_length": 2, "distinct_count": False}]
+        ),
+        lambda d: d.update(constraints=[{"type": "precedence", "values": [1, 2], "scope": [1, 1, 0]}]),
+        lambda d: d.update(constraints=[{"type": "disjunction_eq", "value": 3, "scope": [0, 0, 1]}]),
     ],
 )
 def test_schema_violations_rejected(mutate):
