@@ -20,6 +20,7 @@ from .consistency import (
     BudgetExceeded,
     ConsistencyReport,
     ConsistencyWitness,
+    SacTimeout,
     brute_force_gac,
     enforce_sac,
     enumerate_solutions,

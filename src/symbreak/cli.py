@@ -7,14 +7,19 @@ an aligned text table; wall-clock timings go to stderr so stdout stays
 byte-for-byte reproducible.
 
 Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error
-(including input nested too deeply to read), 3 enumeration budget exceeded,
-4 search timed out, 10 the instance is unsatisfiable. Search and the oracles
-walk explicit stacks, so the number of variables is not limited by recursion.
+(including input nested too deeply to read, and a path that cannot be read or
+written, such as a directory), 3 enumeration budget exceeded, 4 search or SAC
+timed out, 10 the instance is unsatisfiable. Search and the oracles walk
+explicit stacks, so the number of variables is not limited by recursion.
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process; it builds its argument parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +30,7 @@ from .breaking import ClassCanonical, build_generator_lex, build_precedence, bui
 from .consistency import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    SacTimeout,
     brute_force_gac,
     enforce_sac,
     has_support,
@@ -94,6 +100,11 @@ def _timeout(args) -> float:
     return timeout
 
 
+def _deadline(args):
+    """A perf_counter deadline --timeout seconds from now, or None."""
+    return time.perf_counter() + args.timeout if args.timeout is not None else None
+
+
 def _resolve_problem(spec: str) -> Problem:
     """A problem file path, or a named generator like pigeonhole:8,
     staircase, surjection, chained-pairs:3."""
@@ -140,9 +151,8 @@ def cmd_solve(args) -> int:
         var_order=args.var_order,
         mode="ge-tree" if args.method == "ge-tree" else "static",
     )
-    deadline = time.perf_counter() + args.timeout if args.timeout is not None else None
     try:
-        solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=deadline)
+        solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=_deadline(args))
     except SearchTimeout:
         return _fail("search timed out", EXIT_TIMEOUT)
     if encoding is not None:
@@ -187,7 +197,7 @@ def cmd_propagate(args) -> int:
     else:
         run_problem, encoding = _apply_method(problem, args.method)
         if args.level == "sac":
-            outcome = enforce_sac(run_problem)
+            outcome = enforce_sac(run_problem, deadline=_deadline(args))
         else:
             if args.level == "ac" and any(len(c.scope) > 2 for c in run_problem.constraints):
                 return _fail("level 'ac' needs binary constraints; use 'gac'", EXIT_USAGE)
@@ -241,7 +251,7 @@ def cmd_compare(args) -> int:
     encoding = build_puget(base)
     ac = propagate_fixpoint(encoding.problem)
     results["puget-ac"] = (encoding.x_pairs(ac.pruned_pairs()), ac.wipeout)
-    sac = enforce_sac(encoding.problem)
+    sac = enforce_sac(encoding.problem, deadline=_deadline(args))
     results["puget-sac"] = (encoding.x_pairs(sac.pruned_pairs()), sac.wipeout)
     oracle = brute_force_gac(
         [ClassCanonical(base.partition, range(base.num_vars))], base.domains, budget=args.budget
@@ -294,7 +304,7 @@ def cmd_bench_getree(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         problem = pigeonhole_model(n)
         static_problem = problem.with_constraints(build_precedence(problem))
-        deadline = time.perf_counter() + args.timeout if args.timeout is not None else None
+        deadline = _deadline(args)
         try:
             _, static = solve(static_problem, goal="count", deadline=deadline)
             _, getree = solve(
@@ -421,11 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=("ac", "gac", "sac", "oracle-gac"), default="gac")
     p.add_argument("--method", choices=("none", "precedence", "generator-lex", "puget"), default="none")
     p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--timeout", type=float, default=None, help="seconds for the SAC run")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("compare", help="filter with every method and check the strength order")
     p.add_argument("problem")
     p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--timeout", type=float, default=None, help="seconds for the SAC run")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench-getree", help="static versus dynamic on the pigeonhole family")
@@ -451,10 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and then shared. Sharing is
+    safe: parse_args leaves the parser unchanged and every default is a
+    constant (SYMBREAK_BUDGET is read per call, in _budget)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -465,10 +484,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ProblemFormatError, DimacsError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except BudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
+    except SacTimeout as exc:
+        return _fail(str(exc), EXIT_TIMEOUT)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -3,12 +3,14 @@
 Everything here works by enumeration against explicit budgets: exact solution
 listing, brute-force support filtering, singleton arc consistency, and the
 naive strong k-consistency checker. Exceeding a budget raises; there is no
-silent truncation.
+silent truncation. SAC takes an optional deadline instead, and passing it
+raises as well.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +21,10 @@ DEFAULT_BUDGET = 10_000_000
 
 class BudgetExceeded(Exception):
     """The requested enumeration is larger than the caller's budget allows."""
+
+
+class SacTimeout(Exception):
+    """Singleton arc consistency passed its deadline before reaching a fixpoint."""
 
 
 def _domain_product(dom: DomainSet, variables: Iterable[int]) -> int:
@@ -147,12 +153,19 @@ def _require_binary(constraints) -> None:
             raise ValueError(f"constraint {c!r} has arity {len(c.scope)}; binary constraints required")
 
 
-def enforce_sac(problem: Problem, domains: Optional[DomainSet] = None) -> PropagationOutcome:
+def enforce_sac(
+    problem: Problem,
+    domains: Optional[DomainSet] = None,
+    *,
+    deadline: Optional[float] = None,
+) -> PropagationOutcome:
     """Singleton arc consistency on a binary constraint set.
 
     A value stays iff assigning it and running the arc-consistency fixpoint
     produces no wipeout. After any removal every remaining pair is probed
-    again until a full pass is clean.
+    again until a full pass is clean. With a `deadline` (a time.perf_counter()
+    value), each probe first checks the clock and raises SacTimeout once the
+    deadline has passed.
     """
     _require_binary(problem.constraints)
     dom = (domains if domains is not None else problem.domains).copy()
@@ -170,6 +183,8 @@ def enforce_sac(problem: Problem, domains: Optional[DomainSet] = None) -> Propag
             for value in dom.values(var):
                 if not dom.contains(var, value):
                     continue  # removed by a fixpoint re-run inside this pass
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise SacTimeout("singleton arc consistency timed out")
                 probe = dom.copy()
                 probe.assign(var, value)
                 _, wiped = engine.run(probe, changed=[var])

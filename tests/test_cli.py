@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import symbreak
+from symbreak import cli
 from symbreak.cli import EXIT_TIMEOUT, main
 from symbreak.problem_io import save_problem
 from symbreak import surjection_fixture
@@ -330,6 +331,85 @@ def test_schema_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "no-such-file.json")
     assert code == 2
+
+
+def test_unreadable_path_is_a_usage_error(capsys, tmp_path):
+    # a directory where a file is expected used to end in an IsADirectoryError traceback
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    for argv in (
+        ["solve", str(tmp_path)],
+        ["compare", str(tmp_path)],
+        ["reduce", "--cnf", str(tmp_path)],
+        ["reduce", "--cnf", str(cnf), "--out", str(tmp_path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sac_timeout_exit_code(capsys):
+    for argv in (
+        ["compare", "staircase", "--timeout", "1e-9"],
+        ["propagate", "surjection", "--level", "sac", "--method", "puget", "--timeout", "1e-9"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_TIMEOUT, argv
+        assert out == ""
+        assert "timed out" in err
+    code, out, _ = run_cli(capsys, "compare", "staircase", "--timeout", "0")
+    assert (code, out) == (2, "")
+    _, plain, _ = run_cli(capsys, "compare", "staircase")
+    code, out, _ = run_cli(capsys, "compare", "staircase", "--timeout", "60")
+    assert (code, out) == (0, plain)
+
+
+def test_main_is_reentrant(capsys, monkeypatch):
+    # a goal given in one call does not carry over to the next
+    _, out, _ = run_cli(capsys, "solve", "pigeonhole:4", "--goal", "count")
+    assert "solutions" not in json_part(out)
+    _, out, _ = run_cli(capsys, "solve", "pigeonhole:4")
+    doc = json_part(out)
+    assert doc["goal"] == "all" and doc["solutions"] == []
+
+    # a usage error leaves the next call's report unchanged
+    _, first, _ = run_cli(capsys, "compare", "staircase")
+    assert run_cli(capsys, "solve")[0] == 2
+    code, again, _ = run_cli(capsys, "compare", "staircase")
+    assert code == 0 and again == first
+    src = os.path.dirname(os.path.dirname(symbreak.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symbreak.cli", "compare", "staircase"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout == first
+
+    # SYMBREAK_BUDGET is read on every call
+    monkeypatch.delenv("SYMBREAK_BUDGET", raising=False)
+    assert run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac")[0] == 0
+    monkeypatch.setenv("SYMBREAK_BUDGET", "1")
+    assert run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac")[0] == 3
+    monkeypatch.setenv("SYMBREAK_BUDGET", "1000000")
+    assert run_cli(capsys, "propagate", "staircase", "--level", "oracle-gac")[0] == 0
+
+
+def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
+    built = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (["solve", "pigeonhole:4", "--goal", "count"], ["solve"], ["compare", "staircase"],
+                 ["kcheck", "--k", "2"], ["propagate", "staircase"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) <= 1
 
 
 def test_usage_error_exit_code(capsys):

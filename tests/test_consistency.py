@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from symbreak import (
     BudgetExceeded,
     DomainSet,
     Problem,
+    SacTimeout,
     brute_force_gac,
     enforce_sac,
     enumerate_solutions,
@@ -194,6 +196,16 @@ def test_sac_matches_literal_definition():
             assert literal.has_wipeout()
         else:
             assert ours.final_domains == literal
+
+
+def test_sac_deadline_is_checked_per_probe():
+    enc = build_puget(staircase_fixture()[0])
+    plain = enforce_sac(enc.problem)
+    late = enforce_sac(enc.problem, deadline=time.perf_counter() + 3600)
+    assert late.prunings == plain.prunings and late.wipeout == plain.wipeout
+    assert late.final_domains == plain.final_domains
+    with pytest.raises(SacTimeout):
+        enforce_sac(enc.problem, deadline=time.perf_counter() - 1)
 
 
 # ------------------------------------------------------------- k-consistency
