@@ -47,6 +47,7 @@ from .engine import (
     PropagationEngine,
     PropagationOutcome,
     Pruning,
+    Removals,
     is_solution,
     propagate_fixpoint,
 )

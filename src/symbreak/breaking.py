@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .constraints import (
@@ -20,7 +20,7 @@ from .constraints import (
     Precedence,
     StrictLess,
 )
-from .engine import DomainSet, Problem, mask_of
+from .engine import DomainSet, Problem, full_mask, mask_of
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,9 @@ class ValueClassPartition:
     """Ordered disjoint classes of interchangeable values, each ascending."""
 
     classes: tuple[tuple[int, ...], ...]
+    # Derived in __post_init__: one value mask per class, and their union.
+    class_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    classed_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -40,16 +43,13 @@ class ValueClassPartition:
                 if v in seen:
                     raise ValueError(f"value {v} appears in two classes")
                 seen.add(v)
+        class_masks = tuple(mask_of(cls) for cls in self.classes)
+        object.__setattr__(self, "class_masks", class_masks)
+        object.__setattr__(self, "classed_mask", mask_of(seen))
 
     @classmethod
     def of(cls, classes: Sequence[Sequence[int]]) -> "ValueClassPartition":
         return cls(tuple(tuple(c) for c in classes))
-
-    def class_of(self, value: int) -> Optional[tuple[int, ...]]:
-        for cls in self.classes:
-            if value in cls:
-                return cls
-        return None
 
     def nontrivial_classes(self) -> list[tuple[int, ...]]:
         return [cls for cls in self.classes if len(cls) >= 2]
@@ -223,7 +223,7 @@ def build_puget(
     first_use_var = {}
     dummy_value = {}
     z_masks = []
-    positions_mask = mask_of(range(1, num_x + 1))
+    positions_mask = full_mask(num_x)
     for j in range(1, m + 1):
         first_use_var[j] = num_x + len(z_masks)
         if force_surjection:

@@ -3,7 +3,12 @@
 Every constraint knows its scope, can test a total assignment of its scope,
 and can filter a DomainSet to the consistency level stated in its docstring:
 generalized arc consistency for the global constraints, arc consistency for
-the binary ones. A filter call returns the (var, value) pairs it removed.
+the binary ones. A filter call returns what it removed as an
+`engine.Removals` record, or a plain `[]` when it removed nothing. The record
+holds one (var, lost mask) write per narrowing plus the number of removed
+values; it behaves as the list of removed (var, value) pairs (length,
+iteration, equality with a list), but those pairs are only built when someone
+iterates it, which the propagation engine does only to fill a log.
 
 Filters remove exactly the values that have no support, including the case
 where the constraint has become unsatisfiable: then every remaining value of
@@ -12,30 +17,37 @@ each filter's output identical to the brute-force support enumeration across
 the whole domain lattice, wipeouts included.
 
 Every filter writes domains through `_narrow`, the one place in this module
-that clears domain bits and records removals. A removal list therefore holds
-its pairs in write order, ascending by value within each write, and no pair
-twice, since a cleared value never returns.
+that clears domain bits and records removals. A removal record therefore
+yields its pairs in write order, ascending by value within each write, and no
+pair twice, since a cleared value never returns.
 
 Constraints are immutable after construction and keep no state between calls.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .engine import DomainSet, bits_of, mask_of
+from .engine import DomainSet, Removals, bits_of, mask_of
+
+Removed = Union[Removals, list]  # a filter's return: a record, or [] for none
 
 
-def _narrow(masks: list[int], var: int, kept: int,
-            removed: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Clear the bits of masks[var] outside kept; append each cleared
-    (var, value) pair to removed, values ascending, and return removed."""
+def _narrow(masks: list[int], var: int, kept: int, removed: Removed) -> Removed:
+    """Clear the bits of masks[var] outside kept and return removed with the
+    write recorded. removed is [] until the first removal, which returns a
+    new Removals record instead; a write that clears nothing records nothing."""
     lost = masks[var] & ~kept
+    if not lost:
+        return removed
     masks[var] ^= lost
-    while lost:
-        low = lost & -lost
-        removed.append((var, low.bit_length() - 1))
-        lost ^= low
+    if removed.__class__ is list:
+        removed = Removals()
+        removed.writes = [(var, lost)]
+        removed.count = lost.bit_count()
+    else:
+        removed.writes.append((var, lost))
+        removed.count += lost.bit_count()
     return removed
 
 
@@ -116,8 +128,11 @@ class Constraint:
     def check(self, assignment: Sequence[Optional[int]]) -> bool:
         raise NotImplementedError
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
-        """Filter dom in place; return the removed (var, value) pairs."""
+    def propagate(self, dom: DomainSet) -> Removed:
+        """Filter dom in place. Return a `Removals` record of what was
+        removed, or [] when nothing was: its length is the number of removed
+        (var, value) pairs, iterating it yields them (write order, ascending
+        within a write) and it compares equal to the list of them."""
         return []
 
     def describe(self) -> str:
@@ -126,11 +141,11 @@ class Constraint:
     def __repr__(self) -> str:
         return self.describe()
 
-    def _wipe_scope(self, dom: DomainSet, removed: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    def _wipe_scope(self, dom: DomainSet, removed: Removed) -> Removed:
         # No support exists at all: every remaining scope value goes.
         masks = dom.masks
         for var in self.scope:
-            _narrow(masks, var, 0, removed)
+            removed = _narrow(masks, var, 0, removed)
         return removed
 
 
@@ -193,7 +208,7 @@ class LexLeqPermuted(Constraint):
                 return False
         return True
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
+    def propagate(self, dom: DomainSet) -> Removed:
         # Frisch et al.'s alpha/beta scheme on masks. Position p holds the
         # left mask L (the domain) and the right mask R (its image). It can
         # fall strictly below iff min L < max R, which for masks reads
@@ -210,7 +225,7 @@ class LexLeqPermuted(Constraint):
         n = len(order)
         image = self._image
         preimage = self._preimage
-        removed: list[tuple[int, int]] = []
+        removed: Removed = []
         if not all(map(masks.__getitem__, order)):
             return self._wipe_scope(dom, removed)  # an empty position has no support
         start = 0
@@ -245,9 +260,9 @@ class LexLeqPermuted(Constraint):
             if not (left_out or right_out):
                 return removed
             var = order[p]
-            _narrow(masks, var, ~left_out, removed)
+            removed = _narrow(masks, var, ~left_out, removed)
             for w in bits_of(right_out):
-                _narrow(masks, var, ~(1 << preimage.get(w, w)), removed)
+                removed = _narrow(masks, var, ~(1 << preimage.get(w, w)), removed)
             if not masks[var]:
                 # Channelling emptied the position: the decomposition has
                 # no support left anywhere.
@@ -298,7 +313,7 @@ class Precedence(Constraint):
                 return False
         return True
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
+    def propagate(self, dom: DomainSet) -> Removed:
         scope = self.scope
         values = self.class_values
         c = len(values)
@@ -338,7 +353,7 @@ class Precedence(Constraint):
 
         # A class value of level t survives iff t <= rb + 1 and max(rb, t) >= gn,
         # any other value iff rb >= gn; so with rb < gn only level gn == rb + 1.
-        removed: list[tuple[int, int]] = []
+        removed: Removed = []
         for p, var in enumerate(scope):
             rb = reach_before[p]
             gn = need[p + 1]
@@ -347,7 +362,7 @@ class Precedence(Constraint):
                 kept = usable | ~class_mask
             else:
                 kept = usable & ~prefix_masks[gn - 1]
-            _narrow(masks, var, kept, removed)
+            removed = _narrow(masks, var, kept, removed)
         return removed
 
     def describe(self) -> str:
@@ -385,18 +400,18 @@ class BinaryConstraint(Constraint):
         a, b = self.scope
         return self.allows(assignment[a], assignment[b])
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
+    def propagate(self, dom: DomainSet) -> Removed:
         a, b = self.scope
         masks = dom.masks
-        removed: list[tuple[int, int]] = []
+        removed: Removed = []
         ma = masks[a]
         kept = self.keep_a(ma, masks[b])
         if kept != ma:
-            _narrow(masks, a, kept, removed)
+            removed = _narrow(masks, a, kept, removed)
         mb = masks[b]
         kept = self.keep_b(mb, masks[a])
         if kept != mb:
-            _narrow(masks, b, kept, removed)
+            removed = _narrow(masks, b, kept, removed)
         return removed
 
 
@@ -527,7 +542,7 @@ class DisjunctionEq(Constraint):
         value = self.value
         return any(assignment[var] == value for var in self.scope)
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
+    def propagate(self, dom: DomainSet) -> Removed:
         bit = 1 << self.value
         masks = dom.masks
         first = -1
@@ -589,7 +604,7 @@ class Conditional(Constraint):
         parity = self.cond_parity
         return all(value_parity(v) == parity for v in dom.values(self.cond_var))
 
-    def propagate(self, dom: DomainSet) -> list[tuple[int, int]]:
+    def propagate(self, dom: DomainSet) -> Removed:
         if not self._entailed(dom):
             return []
         return self.inner.propagate(dom)

@@ -25,6 +25,12 @@ def mask_of(values: Iterable[int]) -> int:
     return m
 
 
+def full_mask(num_values: int) -> int:
+    """The mask of 1..num_values (0 when num_values < 1), in closed form:
+    building it value by value costs time quadratic in num_values."""
+    return (1 << (num_values + 1)) - 2 if num_values > 0 else 0
+
+
 def bits_of(mask: int) -> list[int]:
     out = []
     while mask:
@@ -49,8 +55,7 @@ class DomainSet:
 
     @classmethod
     def full(cls, num_vars: int, num_values: int) -> "DomainSet":
-        m = mask_of(range(1, num_values + 1))
-        return cls([m] * num_vars)
+        return cls([full_mask(num_values)] * num_vars)
 
     @classmethod
     def from_values(cls, value_lists: Iterable[Iterable[int]]) -> "DomainSet":
@@ -108,6 +113,41 @@ class Pruning(NamedTuple):
     cause: object  # the constraint that removed the value, or a short label
 
 
+class Removals:
+    """The values one filter call removed, held as (var, lost mask) writes.
+
+    `count` is the number of removed (var, value) pairs. The pairs
+    themselves are built only on demand: iterating yields them in write
+    order, ascending by value within a write, and the record compares equal
+    to a list of those pairs, so `len`, `set`, `sorted` and `== [...]` read
+    it as the removal list it stands for. A call that removes nothing
+    returns a plain `[]` instead, so a record is never empty.
+
+    `constraints._narrow`, the one writer of filter removals, creates a
+    record on the first write that removes something and sets both slots
+    itself: there is no `__init__`, whose call would cost about as much as
+    the rest of a small filter call.
+    """
+
+    __slots__ = ("writes", "count")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for var, lost in self.writes:
+            for value in bits_of(lost):
+                yield var, value
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Removals, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Removals({list(self)!r})"
+
+
 @dataclass
 class PropagationOutcome:
     """What a propagation run did: the ordered removal log, the wipeout flag,
@@ -152,7 +192,7 @@ class Problem:
             raise ValueError(
                 f"domain set covers {len(self.domains)} variables, expected {self.num_vars}"
             )
-        top = mask_of(range(1, self.num_values + 1)) if self.num_values else 0
+        top = full_mask(self.num_values)
         for var, mask in enumerate(self.domains.masks):
             if mask & ~top:
                 raise ValueError(f"domain of variable {var} exceeds 1..{self.num_values}")
@@ -192,9 +232,12 @@ class PropagationEngine:
 
         Returns (removal count, wipeout). With `changed` given, only
         constraints watching those variables are seeded; the caller asserts
-        that every other constraint is already at fixpoint on dom. Removals
-        are appended to `log` as Pruning entries when a list is supplied;
-        callers that only need the count skip that cost.
+        that every other constraint is already at fixpoint on dom. Each
+        filter call returns `[]` or a `Removals` record: the count comes from
+        the record, and the wipeout check and the constraints to wake from
+        the variables it wrote. Removals are expanded into (var, value)
+        pairs and appended to `log` as Pruning entries only when a list is
+        supplied; callers that only need the count skip that cost.
         """
         cons = self.constraints
         watchers = self.watchers
@@ -218,11 +261,16 @@ class PropagationEngine:
             removed = c.propagate(dom)
             if not removed:
                 continue
-            count += len(removed)
+            count += removed.count
             if log is not None:
-                for var, value in removed:
-                    log.append(Pruning(var, value, c))
-            touched = {var for var, _ in removed}
+                # Expanded inline: a generator or a bits_of call per write
+                # costs more than the expansion of a small record.
+                for var, lost in removed.writes:
+                    while lost:
+                        low = lost & -lost
+                        log.append(Pruning(var, low.bit_length() - 1, c))
+                        lost ^= low
+            touched = {var for var, _ in removed.writes}
             for var in touched:
                 if dom.is_empty(var):
                     return count, True

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .breaking import ValueClassPartition
-from .engine import DomainSet, Problem, PropagationEngine
+from .engine import DomainSet, Problem, PropagationEngine, bits_of, mask_of
 
 
 class SearchTimeout(Exception):
@@ -75,18 +75,13 @@ def ge_tree_candidates(
 ) -> list[int]:
     """Branching values for var: per class, the values the partial assignment
     already uses plus the smallest unused one; off-class values pass through."""
-    used = set(partial.values())
-    smallest_unused: dict[tuple[int, ...], Optional[int]] = {}
-    out = []
-    for value in dom.values(var):
-        cls = partition.class_of(value)
-        if cls is not None and value not in used:
-            if cls not in smallest_unused:
-                smallest_unused[cls] = next((v for v in cls if v not in used), None)
-            if value != smallest_unused[cls]:
-                continue
-        out.append(value)
-    return out
+    used = mask_of(partial.values())
+    mask = dom.masks[var]
+    keep = mask & (used | ~partition.classed_mask)
+    for cls_mask in partition.class_masks:
+        unused = cls_mask & ~used
+        keep |= mask & unused & -unused  # the lowest unused class value, if in dom
+    return bits_of(keep)
 
 
 def solve(

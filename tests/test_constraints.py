@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from symbreak import DomainSet, brute_force_gac, staircase_fixture
+from symbreak import DomainSet, PropagationEngine, brute_force_gac, staircase_fixture
 from symbreak.breaking import build_generator_lex, build_precedence
 from symbreak.constraints import (
     AtLeastNValues,
@@ -397,6 +397,42 @@ def test_filters_are_idempotent():
             once = dom.copy()
             c.propagate(once)
             assert c.propagate(once) == [], (c, dom)
+
+
+def test_removal_records_keep_the_removal_list_contract():
+    # What a filter returns stands for the list of removed (var, value)
+    # pairs: its length, its pairs (write order, ascending within a write,
+    # none twice) and the domain it lost must all agree, and the engine must
+    # count the same removals with and without a log. One variable can take
+    # several writes in a call (the lex filter channels bit by bit), so the
+    # pairs need not ascend across a run of one variable.
+    rng = make_rng(10)
+    for _ in range(300):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        dom = random_domains(rng, n, m)
+        for c in random_filters(rng, n, m):
+            after = dom.copy()
+            removed = c.propagate(after)
+            pairs = list(removed)
+            assert len(removed) == len(pairs), (c, dom)
+            assert len(set(pairs)) == len(pairs), (c, dom, pairs)
+            if pairs:
+                in_writes = [(var, value) for var, lost in removed.writes
+                             for value in range(lost.bit_length()) if lost >> value & 1]
+                assert all(lost for _, lost in removed.writes) and pairs == in_writes, (c, dom)
+            else:
+                assert removed.__class__ is list, (c, dom)
+            gone = {(var, value)
+                    for var in range(n) for value in range(1, m + 1)
+                    if dom.contains(var, value) and not after.contains(var, value)}
+            assert set(pairs) == gone, (c, dom, pairs)
+            assert removed == pairs and (removed == []) == (not pairs)
+
+            engine = PropagationEngine([c], n)
+            logged, unlogged, log = dom.copy(), dom.copy(), []
+            count, wiped = engine.run(logged, log=log)
+            assert count == len(log), (c, dom)
+            assert engine.run(unlogged) == (count, wiped) and unlogged == logged, (c, dom)
 
 
 # ------------------------------------------------------------ precedence cost

@@ -1,6 +1,7 @@
 import pytest
 
 from symbreak import DomainSet, Problem, is_solution, pigeonhole_model, propagate_fixpoint
+from symbreak.engine import full_mask, mask_of
 from symbreak.constraints import StrictLess
 
 from conftest import brute_solutions, make_rng, random_binary_problem
@@ -25,6 +26,12 @@ def test_domainset_basics():
 def test_domainset_rejects_nonpositive_values():
     with pytest.raises(ValueError):
         DomainSet.from_values([[0, 1]])
+
+
+def test_full_mask_is_the_mask_of_the_whole_range():
+    for m in range(65):
+        assert full_mask(m) == mask_of(range(1, m + 1)), m
+    assert DomainSet.full(2, 5).masks == [mask_of(range(1, 6))] * 2
 
 
 def test_problem_validates_scopes_and_domains():

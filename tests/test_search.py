@@ -37,7 +37,7 @@ COUNTER_FIELDS = ("nodes", "branches", "backtracks", "prunings", "solutions")
 PIGEONHOLE_GE_TREE = {
     2: (1, 1, 1, 4, 0), 3: (3, 2, 2, 12, 0), 4: (8, 5, 5, 40, 0), 5: (23, 15, 15, 150, 0),
     6: (75, 52, 52, 624, 0), 7: (278, 203, 203, 2842, 0), 8: (1155, 877, 877, 14032, 0),
-    9: (5295, 4140, 4140, 74520, 0),
+    9: (5295, 4140, 4140, 74520, 0), 10: (26442, 21147, 21147, 422940, 0),
 }
 PIGEONHOLE_PRECEDENCE = {n: (0, 0, 0, n * (n + 1), 0) for n in range(2, 11)}
 PIGEONHOLE_GENERATOR_LEX = {
@@ -92,6 +92,31 @@ def test_candidates_two_classes_pass_everything_once_used():
     part = ValueClassPartition.of([[1, 2], [3, 4]])
     dom = DomainSet.from_values([[1, 2, 3, 4]] * 3)
     assert ge_tree_candidates({0: 1, 1: 3}, 2, dom, part) == [1, 2, 3, 4]
+
+
+def test_candidates_match_the_rule_on_random_partials():
+    # Independent restatement: within a class, keep the values the partial
+    # assignment uses plus the smallest class value it does not use (kept
+    # only if var's domain still holds it); values in no class pass.
+    def by_rule(partial, var, dom, part):
+        used = set(partial.values())
+        out = []
+        for value in dom.values(var):
+            cls = next((c for c in part.classes if value in c), None)
+            if cls is None or value in used or value == min(set(cls) - used, default=None):
+                out.append(value)
+        return out
+
+    rng = make_rng(31)
+    for _ in range(600):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        part = random_partition(rng, m, max_classes=rng.randint(1, 3))
+        dom = random_domains(rng, n, m)
+        var = rng.randrange(n)
+        others = [v for v in range(n) if v != var]
+        partial = {v: rng.randint(1, m) for v in rng.sample(others, rng.randint(0, len(others)))}
+        assert ge_tree_candidates(partial, var, dom, part) == by_rule(partial, var, dom, part), (
+            partial, var, dom, part)
 
 
 def test_static_mode_with_precedence_fails_at_root():
