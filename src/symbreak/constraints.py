@@ -16,10 +16,11 @@ every scope variable is unsupported and all of them are removed. This keeps
 each filter's output identical to the brute-force support enumeration across
 the whole domain lattice, wipeouts included.
 
-Every filter writes domains through `_narrow`, the one place in this module
-that clears domain bits and records removals. A removal record therefore
-yields its pairs in write order, ascending by value within each write, and no
-pair twice, since a cleared value never returns.
+Every filter writes domains through two helpers, the only places in this
+module that clear domain bits and record removals: `_narrow` keeps part of
+one variable's domain, and `_wipe_scope` empties a whole scope. A removal
+record therefore yields its pairs in write order, ascending by value within
+each write, and no pair twice, since a cleared value never returns.
 
 Constraints are immutable after construction and keep no state between calls.
 """
@@ -48,6 +49,30 @@ def _narrow(masks: list[int], var: int, kept: int, removed: Removed) -> Removed:
     else:
         removed.writes.append((var, lost))
         removed.count += lost.bit_count()
+    return removed
+
+
+def _wipe_scope(masks: list[int], scope: Sequence[int], removed: Removed) -> Removed:
+    """Empty every scope variable, in one pass: the constraint has no support
+    at all. Records the same writes, in scope order, as one `_narrow(masks,
+    var, 0, removed)` per scope variable would."""
+    writes = []
+    count = 0
+    for var in scope:
+        lost = masks[var]
+        if lost:
+            writes.append((var, lost))
+            count += lost.bit_count()
+            masks[var] = 0
+    if not writes:
+        return removed
+    if removed.__class__ is list:
+        removed = Removals()
+        removed.writes = writes
+        removed.count = count
+    else:
+        removed.writes += writes
+        removed.count += count
     return removed
 
 
@@ -141,13 +166,6 @@ class Constraint:
     def __repr__(self) -> str:
         return self.describe()
 
-    def _wipe_scope(self, dom: DomainSet, removed: Removed) -> Removed:
-        # No support exists at all: every remaining scope value goes.
-        masks = dom.masks
-        for var in self.scope:
-            removed = _narrow(masks, var, 0, removed)
-        return removed
-
 
 class LexLeqPermuted(Constraint):
     """The assignment vector is lexicographically at most its image under a
@@ -227,7 +245,7 @@ class LexLeqPermuted(Constraint):
         preimage = self._preimage
         removed: Removed = []
         if not all(map(masks.__getitem__, order)):
-            return self._wipe_scope(dom, removed)  # an empty position has no support
+            return _wipe_scope(masks, order, removed)  # an empty position has no support
         start = 0
         while True:
             dirty = -1
@@ -240,7 +258,7 @@ class LexLeqPermuted(Constraint):
                     break  # beta
                 if not left & right:
                     # Nothing so far can fall below, and this cannot tie.
-                    return self._wipe_scope(dom, removed)
+                    return _wipe_scope(masks, order, removed)
                 if dirty < 0 and left != right:
                     dirty, dirty_left, dirty_right = p, left, right
                 p += 1
@@ -266,7 +284,7 @@ class LexLeqPermuted(Constraint):
             if not masks[var]:
                 # Channelling emptied the position: the decomposition has
                 # no support left anywhere.
-                return self._wipe_scope(dom, removed)
+                return _wipe_scope(masks, order, removed)
             start = p
 
     def describe(self) -> str:
@@ -330,7 +348,7 @@ class Precedence(Constraint):
             reach_before[p] = reach
             m = masks[var]
             if not m & (~class_mask | prefix_masks[min(reach + 1, c)]):
-                return self._wipe_scope(dom, [])
+                return _wipe_scope(masks, scope, [])
             if reach < c and m >> values[reach] & 1:
                 reach += 1
 
@@ -555,7 +573,7 @@ class DisjunctionEq(Constraint):
                     return []  # two candidates: nothing to prune
                 first = var
         if first < 0:
-            return self._wipe_scope(dom, [])
+            return _wipe_scope(masks, self.scope, [])
         return _narrow(masks, first, bit, [])
 
     def describe(self) -> str:

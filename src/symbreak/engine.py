@@ -16,12 +16,29 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
+# Masks up to this many bits take the one-bit-at-a-time paths below, which
+# are the fastest for them; each step on a wider mask costs time linear in
+# its width, so the wide paths make one pass over a byte or bit string.
+_NARROW_BITS = 64
+
+
 def mask_of(values: Iterable[int]) -> int:
     m = 0
+    wide = None
     for v in values:
         if v < 1:
             raise ValueError(f"values must be positive integers, got {v}")
-        m |= 1 << v
+        if v < _NARROW_BITS:
+            m |= 1 << v
+        elif wide is None:
+            wide = [v]
+        else:
+            wide.append(v)
+    if wide is not None:
+        buf = bytearray(max(wide) // 8 + 1)
+        for v in wide:
+            buf[v >> 3] |= 1 << (v & 7)
+        m |= int.from_bytes(buf, "little")
     return m
 
 
@@ -32,6 +49,9 @@ def full_mask(num_values: int) -> int:
 
 
 def bits_of(mask: int) -> list[int]:
+    """The values in mask, ascending."""
+    if mask.bit_length() > _NARROW_BITS:
+        return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
     out = []
     while mask:
         low = mask & -mask
@@ -123,10 +143,10 @@ class Removals:
     it as the removal list it stands for. A call that removes nothing
     returns a plain `[]` instead, so a record is never empty.
 
-    `constraints._narrow`, the one writer of filter removals, creates a
-    record on the first write that removes something and sets both slots
-    itself: there is no `__init__`, whose call would cost about as much as
-    the rest of a small filter call.
+    `constraints._narrow` and `constraints._wipe_scope`, the two writers of
+    filter removals, create a record on the first write that removes
+    something and set both slots themselves: there is no `__init__`, whose
+    call would cost about as much as the rest of a small filter call.
     """
 
     __slots__ = ("writes", "count")
@@ -238,47 +258,67 @@ class PropagationEngine:
         the variables it wrote. Removals are expanded into (var, value)
         pairs and appended to `log` as Pruning entries only when a list is
         supplied; callers that only need the count skip that cost.
+
+        The wake order fixes the queue order, and with it the log and the
+        cause of each pruning: a record with one write wakes the watchers of
+        its variable, and a record with more writes wakes those of each
+        distinct variable in the iteration order of the set of its
+        variables, never in write order.
         """
         cons = self.constraints
         watchers = self.watchers
-        inq = [False] * len(cons)
+        masks = dom.masks
         queue: deque[int] = deque()
+        push = queue.append
+        pop = queue.popleft
         if changed is None:
+            inq = [True] * len(cons)
             queue.extend(range(len(cons)))
-            for i in range(len(cons)):
-                inq[i] = True
         else:
+            inq = [False] * len(cons)
             for var in changed:
                 for ci in watchers[var]:
                     if not inq[ci]:
                         inq[ci] = True
-                        queue.append(ci)
+                        push(ci)
         count = 0
         while queue:
-            ci = queue.popleft()
+            ci = pop()
             inq[ci] = False
             c = cons[ci]
             removed = c.propagate(dom)
             if not removed:
                 continue
             count += removed.count
+            writes = removed.writes
             if log is not None:
                 # Expanded inline: a generator or a bits_of call per write
                 # costs more than the expansion of a small record.
-                for var, lost in removed.writes:
+                for var, lost in writes:
+                    if lost.bit_length() > _NARROW_BITS:
+                        log += [Pruning(var, value, c) for value in bits_of(lost)]
+                        continue
                     while lost:
                         low = lost & -lost
                         log.append(Pruning(var, low.bit_length() - 1, c))
                         lost ^= low
-            touched = {var for var, _ in removed.writes}
-            for var in touched:
-                if dom.is_empty(var):
+            if len(writes) == 1:
+                var = writes[0][0]
+                if not masks[var]:
                     return count, True
-            for var in touched:
                 for cj in watchers[var]:
                     if cj != ci and not inq[cj]:
                         inq[cj] = True
-                        queue.append(cj)
+                        push(cj)
+                continue
+            for var, _ in writes:
+                if not masks[var]:
+                    return count, True
+            for var in {var for var, _ in writes}:
+                for cj in watchers[var]:
+                    if cj != ci and not inq[cj]:
+                        inq[cj] = True
+                        push(cj)
         return count, False
 
 

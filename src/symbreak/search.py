@@ -124,10 +124,6 @@ def solve(
     if wiped:
         return finish()
 
-    def pick_var(dom: DomainSet) -> Optional[int]:
-        free = (i for i in range(num_vars) if i not in partial)
-        return min(free, key=dom.size, default=None) if min_domain else next(free, None)
-
     # One frame per variable on the current path: (var, its domain before
     # branching, the candidates not yet tried). dom is the node being entered,
     # the root or a child that propagation did not wipe out.
@@ -136,7 +132,12 @@ def solve(
         if deadline is not None and time.perf_counter() > deadline:
             finish()
             raise SearchTimeout(stats)
-        var = pick_var(dom)
+        if min_domain:
+            free = (i for i in range(num_vars) if i not in partial)
+            var = min(free, key=dom.size, default=None)
+        else:
+            # In lex order the frames on the stack are variables 0..k-1.
+            var = len(stack) if len(stack) < num_vars else None
         if var is None:
             # Checker-only constraints never prune, so leaves are re-verified.
             stats.branches += 1

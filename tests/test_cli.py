@@ -103,6 +103,23 @@ def test_propagate_huge_value_range_is_fast(capsys, tmp_path):
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
+def test_wide_value_range_solves_and_propagates_fast(capsys, tmp_path):
+    # Domains are expanded into values in time linear in their width; one
+    # bit at a time, a 3-node search over 100,000 values took seconds.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"format": 1, "variables": 3, "values": 200000}))
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "solve", str(path), "--goal", "first")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json_part(out)["solutions"] == [[1, 1, 1]]
+    assert elapsed < 0.5, f"solve took {elapsed:.2f}s"
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "propagate", str(path))
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json_part(out)["prunings"] == []
+    assert elapsed < 0.5, f"propagate took {elapsed:.2f}s"
+
+
 def test_propagate_wipeout_exit_code(capsys, tmp_path):
     path = tmp_path / "dead.json"
     path.write_text(
@@ -428,6 +445,28 @@ def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 2
     assert main([]) == 2
+
+
+# Each file under tests/golden holds the stdout of `symbreak <argv>`,
+# recorded at commit 959648d. A change that only aims at speed must leave
+# every byte as it is.
+GOLDEN_STDOUT = {
+    "propagate-staircase": ["propagate", "staircase"],
+    "propagate-staircase-puget-ac": ["propagate", "staircase", "--method", "puget", "--level", "ac"],
+    "propagate-surjection-puget-sac": ["propagate", "surjection", "--method", "puget", "--level", "sac"],
+    "propagate-chained-pairs-3-ac": ["propagate", "chained-pairs:3", "--level", "ac"],
+    "compare-surjection": ["compare", "surjection"],
+    "bench-getree-4-8": ["bench-getree", "--n-min", "4", "--n-max", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_stdout_matches_the_golden_file(capsys, name):
+    golden = os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")
+    with open(golden, encoding="utf-8") as f:
+        expected = f.read()
+    code, out, _ = run_cli(capsys, *GOLDEN_STDOUT[name])
+    assert code == 0 and out == expected
 
 
 def test_reports_are_deterministic(capsys):

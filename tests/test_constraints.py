@@ -16,6 +16,8 @@ from symbreak.constraints import (
     Permutation,
     Precedence,
     StrictLess,
+    _narrow,
+    _wipe_scope,
 )
 
 from conftest import (
@@ -433,6 +435,41 @@ def test_removal_records_keep_the_removal_list_contract():
             count, wiped = engine.run(logged, log=log)
             assert count == len(log), (c, dom)
             assert engine.run(unlogged) == (count, wiped) and unlogged == logged, (c, dom)
+
+
+def test_wipe_scope_records_every_remaining_value_in_scope_order():
+    # Expanded here from the domains before the call: one write per
+    # non-empty scope variable, in scope order, values ascending.
+    rng = make_rng(11)
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 6)
+        dom = random_domains(rng, n, m)
+        for var in range(n):
+            if rng.random() < 0.25:
+                dom.masks[var] = 0
+        scope = rng.sample(range(n), rng.randint(1, n))
+        expected = [(var, value) for var in scope for value in range(1, m + 1)
+                    if dom.contains(var, value)]
+        masks = list(dom.masks)
+        removed = _wipe_scope(masks, scope, [])
+        assert list(removed) == expected, (scope, dom)
+        if expected:
+            assert removed.count == len(list(removed))
+        else:
+            assert removed.__class__ is list
+        assert all(masks[var] == 0 for var in scope)
+        assert all(masks[var] == dom.masks[var] for var in range(n) if var not in scope)
+
+        masks = list(dom.masks)
+        outside = [var for var in range(n) if var not in scope and masks[var]]
+        if not outside:
+            continue
+        head = _narrow(masks, outside[0], 0, [])
+        prior = list(head)
+        removed = _wipe_scope(masks, scope, head)
+        assert removed is head and list(removed) == prior + expected, (scope, dom)
+        assert removed.count == len(list(removed))
+        assert all(masks[var] == 0 for var in scope)
 
 
 # ------------------------------------------------------------ precedence cost

@@ -227,3 +227,38 @@ def test_search_deadline():
     prob = pigeonhole_model(12)
     with pytest.raises(SearchTimeout):
         solve(prob, strategy=Strategy(mode="ge-tree"), goal="count", deadline=0.0)
+
+
+def test_lex_order_branches_on_the_lowest_unassigned_variable():
+    # Every node's partial assignment covers exactly the first k variables,
+    # also with singleton domains from the caller, on one-variable problems,
+    # and where the root is already a leaf.
+    rng = make_rng(63)
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        dom = random_domains(rng, n, m)
+        for var in range(n):
+            if rng.random() < 0.3:
+                dom.assign(var, rng.choice(dom.values(var)))
+        part = random_partition(rng, m)
+        cons = (StrictLess(0, 1),) if n > 1 and rng.random() < 0.5 else ()
+        prob = Problem(n, m, DomainSet.full(n, m), cons, part)
+        expected = sorted(enumerate_solutions(prob, dom))
+        for mode in ("static", "ge-tree"):
+            seen = []
+
+            def hook(partial):
+                assert sorted(partial) == list(range(len(partial))), partial
+                seen.append(len(partial))
+
+            sols, stats = solve(prob, domains=dom, strategy=Strategy(mode=mode), node_hook=hook)
+            assert len(seen) == stats.nodes
+            if mode == "static":
+                assert sorted(sols) == expected
+            else:
+                assert sorted(sols) == [v for v in expected if is_class_canonical(v, part)]
+    # Root leaves: no variable at all, and a root that propagation wipes out.
+    assert solve(Problem(0, 2, DomainSet.full(0, 2)))[0] == [()]
+    wiped = Problem(2, 2, DomainSet.from_values([[2], [1]]), (StrictLess(0, 1),))
+    sols, stats = solve(wiped, node_hook=lambda partial: pytest.fail("no node expected"))
+    assert sols == [] and stats.nodes == 0
