@@ -7,10 +7,12 @@ an aligned text table; wall-clock timings go to stderr so stdout stays
 byte-for-byte reproducible.
 
 Exit codes: 0 ran, 1 internal comparison failure, 2 usage or schema error
-(including input nested too deeply to read, and a path that cannot be read or
-written, such as a directory), 3 enumeration budget exceeded, 4 search or SAC
-timed out, 10 the instance is unsatisfiable. Search and the oracles walk
-explicit stacks, so the number of variables is not limited by recursion.
+(including input nested too deeply to read, a path that cannot be read or
+written, such as a directory, and a problem too large to build in memory,
+such as a file declaring 10**12 variables or values), 3 enumeration budget
+exceeded, 4 search or SAC timed out, 10 the instance is unsatisfiable. Search
+and the oracles walk explicit stacks, so the number of variables is not
+limited by recursion.
 
 `main(argv)` returns the exit code and may be called repeatedly in one
 process; it builds its argument parser once, on the first call.
@@ -492,6 +494,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_TIMEOUT)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except (MemoryError, OverflowError):
+        # A declared size whose domains or masks cannot be allocated.
+        return _fail("problem too large to build in memory", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,12 @@ one variable's domain, and `_wipe_scope` empties a whole scope. A removal
 record therefore yields its pairs in write order, ascending by value within
 each write, and no pair twice, since a cleared value never returns.
 
+Most filter calls remove nothing. `_EqImplies`, the channelling kind the
+dual (Puget) encoding posts 2nm times, therefore tests for that first and
+returns `[]` before any revise when its two masks show that both sides keep
+everything: the test holds exactly when `keep_a` and `keep_b` would keep
+both masks, so it skips no call that removes something.
+
 Constraints are immutable after construction and keep no state between calls.
 """
 
@@ -146,8 +152,12 @@ class Permutation:
 
 
 class Constraint:
-    """Base class: subclasses set `scope` and implement check and propagate."""
+    """Base class: subclasses set `scope` and implement check and propagate.
 
+    It has no instance fields of its own (empty `__slots__`), so a subclass
+    that declares its fields in `__slots__` gets instances without a dict."""
+
+    __slots__ = ()
     scope: tuple[int, ...] = ()
 
     def check(self, assignment: Sequence[Optional[int]]) -> bool:
@@ -400,6 +410,8 @@ class BinaryConstraint(Constraint):
     integer operations, whatever the domain sizes.
     """
 
+    __slots__ = ("scope",)
+
     def __init__(self, a: int, b: int):
         if a == b:
             raise ValueError(f"binary constraint needs two distinct variables, got X{a} twice")
@@ -436,13 +448,25 @@ class BinaryConstraint(Constraint):
 class _EqImplies(BinaryConstraint):
     """a == value implies b in the target mask: every other value of a is
     supported by any value of b, and every value of b by any other value of a.
+
+    The target is the values up to other_value (`_up_to`) or other_value
+    alone; either way other_value is the target's top bit.
     """
 
-    def __init__(self, var: int, value: int, other_var: int, target: int):
-        super().__init__(var, other_var)
+    __slots__ = ("value", "_trigger", "_target")
+    _up_to = False
+
+    def __init__(self, var: int, value: int, other_var: int, other_value: int):
+        # One frame, no super() call: the Puget encoding builds 2nm of these.
+        if var == other_var:
+            raise ValueError(f"binary constraint needs two distinct variables, got X{var} twice")
+        self.scope = (var, other_var)
         self.value = value
         self._trigger = 1 << value
-        self._target = target
+        self._target = (2 << other_value) - 1 if self._up_to else 1 << other_value
+
+    def allows(self, va: int, vb: int) -> bool:
+        return va != self.value or self._target >> vb & 1 == 1
 
     def keep_a(self, ma: int, mb: int) -> int:
         if mb & self._target:
@@ -454,17 +478,31 @@ class _EqImplies(BinaryConstraint):
             return mb
         return mb & self._target if ma else 0
 
+    def propagate(self, dom: DomainSet) -> Removed:
+        # Exact no-op test: a keeps a value other than the trigger, so b
+        # keeps all of mb; and a keeps all of ma when b is non-empty and
+        # either reaches the target or a lacks the trigger. Only a call that
+        # may remove something pays for the two revises.
+        a, b = self.scope
+        masks = dom.masks
+        ma = masks[a]
+        mb = masks[b]
+        trigger = self._trigger
+        if ma & ~trigger and mb and (mb & self._target or not ma & trigger):
+            return []
+        return BinaryConstraint.propagate(self, dom)
+
 
 class EqImpliesLeq(_EqImplies):
     """If the first variable takes the trigger value, the second stays at or
     below the bound."""
 
-    def __init__(self, var: int, value: int, bound_var: int, bound: int):
-        super().__init__(var, value, bound_var, (2 << bound) - 1)
-        self.bound = bound
+    __slots__ = ()
+    _up_to = True
 
-    def allows(self, va: int, vb: int) -> bool:
-        return va != self.value or vb <= self.bound
+    @property
+    def bound(self) -> int:
+        return self._target.bit_length() - 1
 
     def describe(self) -> str:
         a, b = self.scope
@@ -474,12 +512,11 @@ class EqImpliesLeq(_EqImplies):
 class EqImpliesEq(_EqImplies):
     """If the first variable takes the trigger value, the second is pinned."""
 
-    def __init__(self, var: int, value: int, other_var: int, other_value: int):
-        super().__init__(var, value, other_var, 1 << other_value)
-        self.other_value = other_value
+    __slots__ = ()
 
-    def allows(self, va: int, vb: int) -> bool:
-        return va != self.value or vb == self.other_value
+    @property
+    def other_value(self) -> int:
+        return self._target.bit_length() - 1
 
     def describe(self) -> str:
         a, b = self.scope
@@ -488,6 +525,8 @@ class EqImpliesEq(_EqImplies):
 
 class StrictLess(BinaryConstraint):
     """The first variable is strictly below the second."""
+
+    __slots__ = ()
 
     def allows(self, va: int, vb: int) -> bool:
         return va < vb
@@ -508,6 +547,8 @@ class StrictLess(BinaryConstraint):
 class ParityLink(BinaryConstraint):
     """If the condition variable's value has the given parity, the target
     variable's value has the target parity."""
+
+    __slots__ = ("cond_parity", "target_parity")
 
     def __init__(self, cond_var: int, cond_parity: str, target_var: int, target_parity: str):
         super().__init__(cond_var, target_var)

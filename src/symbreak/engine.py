@@ -264,6 +264,13 @@ class PropagationEngine:
         its variable, and a record with more writes wakes those of each
         distinct variable in the iteration order of the set of its
         variables, never in write order.
+
+        `inq[ci]` is set exactly while constraint ci is queued or running:
+        the running constraint keeps its flag until it has woken the others,
+        so the wake loops skip it, like any queued one, by that flag alone
+        (its filter is complete, so its own writes give it nothing to do).
+        Every path that goes on to the next constraint clears the flag; a
+        wipeout ends the run, and the flags with it.
         """
         cons = self.constraints
         watchers = self.watchers
@@ -284,10 +291,10 @@ class PropagationEngine:
         count = 0
         while queue:
             ci = pop()
-            inq[ci] = False
             c = cons[ci]
             removed = c.propagate(dom)
             if not removed:
+                inq[ci] = False
                 continue
             count += removed.count
             writes = removed.writes
@@ -307,18 +314,20 @@ class PropagationEngine:
                 if not masks[var]:
                     return count, True
                 for cj in watchers[var]:
-                    if cj != ci and not inq[cj]:
+                    if not inq[cj]:
                         inq[cj] = True
                         push(cj)
+                inq[ci] = False
                 continue
             for var, _ in writes:
                 if not masks[var]:
                     return count, True
             for var in {var for var, _ in writes}:
                 for cj in watchers[var]:
-                    if cj != ci and not inq[cj]:
+                    if not inq[cj]:
                         inq[cj] = True
                         push(cj)
+            inq[ci] = False
         return count, False
 
 

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from symbreak import DomainSet, Problem, brute_force_gac, enumerate_solutions, propagate_fixpoint
+from symbreak import DomainSet, Problem, brute_force_gac, enforce_sac, enumerate_solutions, propagate_fixpoint
 from symbreak.breaking import (
     ClassCanonical,
     SymmetrySet,
@@ -21,7 +22,7 @@ from symbreak.breaking import (
 from symbreak.constraints import Permutation
 from symbreak.instances import staircase_fixture, surjection_fixture
 
-from conftest import make_rng, random_domains, random_partition
+from conftest import make_rng, random_binary_constraint, random_domains, random_partition
 
 
 def closure(perms, num_values):
@@ -221,3 +222,43 @@ def test_puget_surjection_route_matches_dummy_route():
         a = sorted(dummy.project(v) for v in enumerate_solutions(dummy.problem))
         b = sorted(surj.project(v) for v in enumerate_solutions(surj.problem, budget=10**7))
         assert a == b
+
+
+def puget_log_base(rng):
+    """A base problem with classes and binary constraints: mostly small, and
+    one in four with 60..72 variables, whose first-use variables range over
+    more than 64 positions, so their removals take the engine's wide log
+    path."""
+    wide = rng.random() < 0.25
+    n = rng.randint(60, 72) if wide else rng.randint(2, 8)
+    m = rng.randint(2, 5)
+    cons = tuple(random_binary_constraint(rng, n, m) for _ in range(rng.randint(0, 2)))
+    lists = [sorted(rng.sample(range(1, m + 1), rng.randint(1, m))) if rng.random() < 0.3
+             else list(range(1, m + 1)) for _ in range(n)]
+    return Problem(n, m, DomainSet.from_values(lists), cons, random_partition(rng, m)), wide
+
+
+def puget_log_digest(seeds):
+    """SHA-256 over the propagate_fixpoint outcome (log with causes, wipeout
+    flag, final masks) of each base's Puget encoding, with and without the
+    surjection tail, and over the enforce_sac outcome of the small ones."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        base, wide = puget_log_base(make_rng(seed))
+        for force_surjection in (False, True):
+            enc = build_puget(base, force_surjection=force_surjection).problem
+            outcomes = [propagate_fixpoint(enc)] + ([] if wide else [enforce_sac(enc)])
+            for out in outcomes:
+                log = [(p.var, p.value, str(p.cause)) for p in out.prunings]
+                digest.update(repr((log, out.wipeout, out.final_domains.masks)).encode())
+    return digest.hexdigest()
+
+
+# The dual encoding's filters and the engine's queue order fix the log, each
+# pruning's cause and the final domains. Recorded at commit 340bbfc by
+# running puget_log_digest(range(150)) there.
+PUGET_LOG_DIGEST = "247898e19ea9dbdc1fefcbe13ab6384196cee6bd1e0234e474111e1fa5626d5a"
+
+
+def test_puget_logs_keep_their_digest():
+    assert puget_log_digest(range(150)) == PUGET_LOG_DIGEST

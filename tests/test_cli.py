@@ -379,6 +379,41 @@ def test_unreadable_path_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Runs cli.main with its address space capped at 1 GiB, so an allocation of
+# a huge domain list or mask fails at once instead of taking real memory.
+CAPPED_MAIN = """
+import resource, sys
+cap = 1 << 30
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from symbreak.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("field,size", [("variables", 10**12), ("values", 10**12),
+                                        ("variables", 10**23), ("values", 10**23)])
+def test_problem_too_large_for_memory_is_a_usage_error(tmp_path, field, size):
+    pytest.importorskip("resource")
+    doc = {"format": 1, "variables": 2, "values": 2}
+    doc[field] = size
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(symbreak.__file__))
+    for command in ("propagate", "solve", "compare"):
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, command, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert proc.stderr == "error: problem too large to build in memory\n"
+        assert proc.stdout == ""
+
+
 def test_sac_timeout_exit_code(capsys):
     for argv in (
         ["compare", "staircase", "--timeout", "1e-9"],

@@ -7,6 +7,7 @@ from symbreak import DomainSet, PropagationEngine, brute_force_gac, staircase_fi
 from symbreak.breaking import build_generator_lex, build_precedence
 from symbreak.constraints import (
     AtLeastNValues,
+    BinaryConstraint,
     Conditional,
     DisjunctionEq,
     EqImpliesEq,
@@ -300,6 +301,27 @@ def test_binary_filters_match_support_enumeration():
                     want, wiped = support_marking_gac([c], dom)
                     assert set(got) == want
                     assert mine.has_wipeout() == wiped
+
+
+def record_shape(removed):
+    """A filter's return as data: [] for none, else (writes, count)."""
+    return [] if removed.__class__ is list else (removed.writes, removed.count)
+
+
+def test_binary_kinds_match_the_shared_two_revise_filter():
+    # A kind's own propagate (the EqImplies no-op test first) must write what
+    # the shared BinaryConstraint filter writes: the same final masks, the
+    # same (var, lost mask) writes in the same order and the same count,
+    # and [] exactly when it removes nothing.
+    m = 5
+    for kind, (a, b) in itertools.product(BINARY_KINDS, ((0, 1), (1, 0))):
+        for c in kind(a, b, m):
+            for ma in range(0, 1 << (m + 1), 2):
+                for mb in range(0, 1 << (m + 1), 2):
+                    own, shared = DomainSet([ma, mb]), DomainSet([ma, mb])
+                    got = record_shape(c.propagate(own))
+                    want = record_shape(BinaryConstraint.propagate(c, shared))
+                    assert got == want and own.masks == shared.masks, (c, ma, mb)
 
 
 def test_binary_constraint_rejects_repeated_variable():
