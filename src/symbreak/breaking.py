@@ -164,7 +164,11 @@ class ClassCanonical(Constraint):
 
     Canonicity under the full value group is per-class value precedence
     (Law & Lee, CP 2004), so the check is the conjunction of one
-    `Precedence` per class with at least two values."""
+    `Precedence` per class with at least two values, and like those it
+    `checks_partial`: a prefix is rejected only when no completion is
+    canonical."""
+
+    checks_partial = True
 
     def __init__(self, partition: ValueClassPartition, scope: Sequence[int]):
         self.partition = partition
@@ -172,7 +176,10 @@ class ClassCanonical(Constraint):
         self._precedences = [Precedence(cls, self.scope) for cls in partition.nontrivial_classes()]
 
     def check(self, assignment) -> bool:
-        return all(p.check(assignment) for p in self._precedences)
+        for p in self._precedences:
+            if not p.check(assignment):
+                return False
+        return True
 
     def describe(self) -> str:
         classes = ";".join(",".join(map(str, c)) for c in self.partition.classes)

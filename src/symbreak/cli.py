@@ -253,8 +253,16 @@ def cmd_compare(args) -> int:
     encoding = build_puget(base)
     ac = propagate_fixpoint(encoding.problem)
     results["puget-ac"] = (encoding.x_pairs(ac.pruned_pairs()), ac.wipeout)
-    sac = enforce_sac(encoding.problem, deadline=_deadline(args))
-    results["puget-sac"] = (encoding.x_pairs(sac.pruned_pairs()), sac.wipeout)
+    # SAC's first step is this same AC run on the same domains, and its
+    # probes depend only on the domains they start from; so SAC resumes from
+    # the AC fixpoint, and its prunings are AC's plus its own. On an AC
+    # wipeout, SAC would stop after that first step: its result is AC's.
+    if ac.wipeout:
+        results["puget-sac"] = results["puget-ac"]
+    else:
+        sac = enforce_sac(encoding.problem, ac.final_domains, deadline=_deadline(args))
+        sac_pairs = ac.pruned_pairs() | sac.pruned_pairs()
+        results["puget-sac"] = (encoding.x_pairs(sac_pairs), sac.wipeout)
     oracle = brute_force_gac(
         [ClassCanonical(base.partition, range(base.num_vars))], base.domains, budget=args.budget
     )

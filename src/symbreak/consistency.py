@@ -5,6 +5,14 @@ listing, brute-force support filtering, singleton arc consistency, and the
 naive strong k-consistency checker. Exceeding a budget raises; there is no
 silent truncation. SAC takes an optional deadline instead, and passing it
 raises as well.
+
+The enumerators assign variables one at a time and check each constraint as
+soon as its scope is assigned. A constraint whose `checks_partial` is set
+(value precedence, class canonicity) is also checked on every prefix that
+assigns part of its scope, and a prefix it rejects is not extended: no
+completion of it could satisfy the constraint. This prunes the walk, never
+the result. Budgets still count the full domain product, so whether a call
+raises BudgetExceeded does not depend on how much of the walk is pruned.
 """
 
 from __future__ import annotations
@@ -40,15 +48,21 @@ def _check_budget(dom: DomainSet, variables, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what} would enumerate {product} assignments, budget is {budget}")
 
 
-def _by_last_scope_var(constraints, variables):
-    """Constraints grouped by the variable that completes their scope, given
-    the assignment order `variables`. Constraints whose scope is not covered
-    are ignored (never fully instantiated)."""
+def _checks_by_level(constraints, variables):
+    """The constraints to check at each level of the assignment order
+    `variables`: each one at the level that completes its scope and, when it
+    `checks_partial`, at every level from its first assigned scope variable
+    on. Constraints whose scope is not covered are ignored (never fully
+    instantiated)."""
     position = {var: i for i, var in enumerate(variables)}
     grouped: list[list] = [[] for _ in variables]
     for c in constraints:
         if all(v in position for v in c.scope):
-            grouped[max(position[v] for v in c.scope)].append(c)
+            levels = [position[v] for v in c.scope]
+            last = max(levels)
+            first = min(levels) if c.checks_partial else last
+            for level in range(first, last + 1):
+                grouped[level].append(c)
     return grouped
 
 
@@ -56,11 +70,16 @@ def _satisfying(constraints, dom: DomainSet, variables: Sequence[int], budget: i
     """Every assignment of `variables` drawn from `dom` that satisfies each
     constraint whose scope it covers, in lexicographic order of `variables`.
 
-    Yields one variable-indexed vector, overwritten between yields. The walk
-    keeps an explicit stack of value indices, so depth costs no recursion.
+    Yields one variable-indexed vector, overwritten between yields; the
+    variables not yet assigned hold None. The walk keeps an explicit stack of
+    value indices, so depth costs no recursion. A prefix is extended only if
+    it passes every constraint listed at its level (see _checks_by_level), so
+    a `checks_partial` constraint cuts a prefix that no completion satisfies;
+    the assignments yielded, and their order, are those of the unpruned walk.
+    The budget is checked against the full domain product before the walk.
     """
     _check_budget(dom, variables, budget, what)
-    checks = _by_last_scope_var(constraints, variables)
+    checks = _checks_by_level(constraints, variables)
     values = [dom.values(v) for v in variables]
     vec: list[Optional[int]] = [None] * (max(variables) + 1 if variables else 0)
     last = len(variables) - 1
@@ -133,14 +152,15 @@ def brute_force_gac(
     """
     dom = domains.copy()
     scope_vars = sorted({v for c in constraints for v in c.scope})
-    supported = [0] * len(scope_vars)
+    supported = [0] * (scope_vars[-1] + 1 if scope_vars else 0)
     for vec in _satisfying(constraints, dom, scope_vars, budget, "support filtering"):
-        supported = [mask | 1 << vec[var] for mask, var in zip(supported, scope_vars)]
+        for var in scope_vars:
+            supported[var] |= 1 << vec[var]
 
     cause = constraints[0] if len(constraints) == 1 else "oracle-conjunction"
     log = []
-    for var, mask in zip(scope_vars, supported):
-        for v in bits_of(dom.masks[var] & ~mask):
+    for var in scope_vars:
+        for v in bits_of(dom.masks[var] & ~supported[var]):
             dom.remove(var, v)
             log.append(Pruning(var, v, cause))
     wipeout = any(dom.is_empty(v) for v in scope_vars)

@@ -155,10 +155,19 @@ class Constraint:
     """Base class: subclasses set `scope` and implement check and propagate.
 
     It has no instance fields of its own (empty `__slots__`), so a subclass
-    that declares its fields in `__slots__` gets instances without a dict."""
+    that declares its fields in `__slots__` gets instances without a dict.
+
+    `checks_partial` is True for a kind whose `check` accepts a vector with
+    None for unassigned variables and returns False only when no completion
+    of those None entries satisfies the constraint. The enumeration oracles
+    then check it on every prefix of their assignment order and stop
+    extending a prefix it rejects; their budgets still count the full domain
+    product. Every other kind is checked only once its scope is assigned.
+    """
 
     __slots__ = ()
     scope: tuple[int, ...] = ()
+    checks_partial = False
 
     def check(self, assignment: Sequence[Optional[int]]) -> bool:
         raise NotImplementedError
@@ -312,7 +321,12 @@ class Precedence(Constraint):
     the highest reachable first-use level before each position, a backward
     sweep the minimum level each suffix demands, and a value survives iff the
     two meet.
+
+    `check` scans the scope up to the first unassigned (None) variable: a
+    violation before it holds in every completion, whatever the scope order.
     """
+
+    checks_partial = True
 
     def __init__(self, class_values: Sequence[int], scope: Sequence[int]):
         values = tuple(class_values)
@@ -332,7 +346,10 @@ class Precedence(Constraint):
         seen = 0
         level_of = self.level_of
         for var in self.scope:
-            t = level_of.get(assignment[var])
+            value = assignment[var]
+            if value is None:
+                return True
+            t = level_of.get(value)
             if t is None:
                 continue
             if t == seen + 1:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +9,8 @@ import time
 import pytest
 
 import symbreak
-from symbreak import cli
+from symbreak import DomainSet, Problem, cli
+from symbreak.breaking import ValueClassPartition
 from symbreak.cli import EXIT_TIMEOUT, main
 from symbreak.problem_io import save_problem
 from symbreak import surjection_fixture
@@ -289,6 +292,72 @@ def test_compare_random_seeds_no_order_violations(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "compare", str(path))
         assert code == 0, out
         assert json_part(out)["violations"] == 0
+
+
+def compare_case(rng, wide):
+    """A compare input. The narrow ones have the shape of the benchmark's
+    compare-small files: n 6..8, m 4..5, one class or the classes {1, 2} and
+    {3..m}, domain sizes spread evenly over 1..m. The wide ones have n 2..7,
+    m 2..6, one to three classes of shuffled values and random domains."""
+    if wide:
+        n, m = rng.randint(2, 7), rng.randint(2, 6)
+        values = rng.sample(range(1, m + 1), m)
+        cuts = sorted(rng.sample(range(1, m), min(m - 1, rng.randint(0, 2))))
+        classes = [sorted(values[a:b]) for a, b in zip([0] + cuts, cuts + [m])]
+        sizes = [rng.randint(1, m) for _ in range(n)]
+    else:
+        n, m = rng.randint(6, 8), rng.randint(4, 5)
+        classes = [range(1, m + 1)] if rng.random() < 0.5 else [range(1, 3), range(3, m + 1)]
+        sizes = [1 + i * m // n for i in range(n)]
+        rng.shuffle(sizes)
+    lists = [sorted(rng.sample(range(1, m + 1), k)) for k in sizes]
+    return Problem(n, m, DomainSet.from_values(lists), partition=ValueClassPartition.of(classes))
+
+
+def compare_stdout_digest(capsys, workdir, seeds):
+    """SHA-256 over the exit code and stdout of `compare` on one narrow and
+    one wide case per seed, and how many of those runs wipe out at puget-ac
+    and how many prune more with puget-sac than with puget-ac."""
+    digest = hashlib.sha256()
+    ac_wipeouts = sac_gains = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        for wide in (False, True):
+            path = workdir / f"case{seed}-{int(wide)}.json"
+            save_problem(compare_case(rng, wide), str(path))
+            code, out, _ = run_cli(capsys, "compare", str(path))
+            digest.update(f"{code}\n{out}".encode())
+            methods = json_part(out)["methods"]
+            ac_wipeouts += methods["puget-ac"]["wipeout"]
+            sac_gains += methods["puget-sac"]["prunings"] != methods["puget-ac"]["prunings"]
+    return digest.hexdigest(), ac_wipeouts, sac_gains
+
+
+# The five methods' prunings and wipeout flags, the relation checks and the
+# exit code of compare. Recorded at commit 674bdf8, before the oracle cut
+# non-canonical prefixes and SAC started from the AC fixpoint, by running
+# compare_stdout_digest(capsys, tmp_path, range(150)) there.
+COMPARE_STDOUT_DIGEST = "72a57a2560080bfc2a9c432587d34accaf24b20f6544395fa83e8084b9a2b944"
+
+
+def test_compare_keeps_its_stdout_digest(capsys, tmp_path):
+    digest, ac_wipeouts, sac_gains = compare_stdout_digest(capsys, tmp_path, range(150))
+    assert ac_wipeouts and sac_gains
+    assert digest == COMPARE_STDOUT_DIGEST
+
+
+def test_compare_budget_counts_the_full_product(capsys, tmp_path):
+    # 4**8 = 65,536 assignments, of which 2,795 are canonical: the oracle's
+    # cut walk visits fewer than the product, but the budget counts it all.
+    path = tmp_path / "full.json"
+    save_problem(
+        Problem(8, 4, DomainSet.full(8, 4), partition=ValueClassPartition.of([range(1, 5)])),
+        str(path),
+    )
+    code, _, err = run_cli(capsys, "compare", str(path), "--budget", str(4**8 - 1))
+    assert code == 3 and "budget" in err
+    code, out, _ = run_cli(capsys, "compare", str(path), "--budget", str(4**8))
+    assert code == 0 and json_part(out)["violations"] == 0
 
 
 def test_bench_getree_doubling_and_csv_shape(capsys):

@@ -18,15 +18,17 @@ from symbreak import (
     propagate_fixpoint,
 )
 from symbreak.breaking import ClassCanonical, ValueClassPartition, build_puget
-from symbreak.constraints import DisjunctionEq, StrictLess
+from symbreak.constraints import DisjunctionEq, Precedence, StrictLess
 from symbreak.instances import staircase_fixture, surjection_fixture
 
 from conftest import (
     brute_solutions,
     make_rng,
+    random_binary_constraint,
     random_binary_problem,
     random_domains,
     random_mixed_problem,
+    random_partition,
     support_marking_gac,
 )
 
@@ -116,6 +118,65 @@ def test_oracles_walk_past_the_recursion_limit():
     report = is_k_consistent(Problem(n, 1, dom, tuple(refuted)), n)
     assert not report.holds and report.witness.variable == n - 1
     assert report.witness.assignment == {var: 1 for var in range(n - 1)}
+
+
+def prefix_checked_problem(rng):
+    """Precedence constraints over shuffled scopes (so scope order differs
+    from the enumerators' ascending order) and a class-canonicity constraint
+    over a shuffled scope, mixed with binary constraints and a disjunction."""
+    n, m = rng.randint(2, 5), rng.randint(2, 4)
+    part = random_partition(rng, m, max_classes=3)
+    cons = []
+    for cls in part.nontrivial_classes():
+        scope = rng.sample(range(n), rng.randint(1, n))
+        cons.append(Precedence(cls, scope))
+    if rng.random() < 0.5:
+        cons.append(ClassCanonical(part, rng.sample(range(n), n)))
+    cons += [random_binary_constraint(rng, n, m) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        cons.append(DisjunctionEq(rng.randint(1, m), rng.sample(range(n), rng.randint(1, n))))
+    rng.shuffle(cons)
+    return Problem(n, m, random_domains(rng, n, m), tuple(cons))
+
+
+def test_prefix_pruned_oracles_match_the_product_oracles():
+    # The oracles cut prefixes that a checks_partial constraint rejects; the
+    # conftest oracles check total assignments of the full product only.
+    rng = make_rng(2004)
+    for _ in range(400):
+        prob = prefix_checked_problem(rng)
+        cons, dom = list(prob.constraints), prob.domains
+        solutions = brute_solutions(prob)
+        assert enumerate_solutions(prob) == sorted(solutions)
+        if cons:
+            out = brute_force_gac(cons, dom)
+            want, wiped = support_marking_gac(cons, dom)
+            assert out.pruned_pairs() == want
+            assert out.wipeout == wiped
+        for var in range(prob.num_vars):
+            for value in range(1, prob.num_values + 1):
+                want = any(vec[var] == value for vec in solutions)
+                assert has_support(cons, dom, var, value) == want
+
+
+def test_oracle_budgets_count_the_full_product():
+    # 8 variables over one class of 4 values: 4**8 = 65,536 assignments, of
+    # which only 2,795 are canonical; the cut walk visits far fewer than the
+    # product, but the budget is still checked against the product.
+    n, m = 8, 4
+    part = ValueClassPartition.of([range(1, m + 1)])
+    dom = DomainSet.full(n, m)
+    product = m**n
+    canonical = [ClassCanonical(part, range(n))]
+    with pytest.raises(BudgetExceeded):
+        brute_force_gac(canonical, dom, budget=product - 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_solutions(Problem(n, m, dom, tuple(canonical)), budget=product - 1)
+    with pytest.raises(BudgetExceeded):
+        has_support(canonical, dom, 0, 1, budget=m ** (n - 1) - 1)
+    assert not brute_force_gac(canonical, dom, budget=product).wipeout
+    assert len(enumerate_solutions(Problem(n, m, dom, tuple(canonical)), budget=product)) == 2795
+    assert has_support(canonical, dom, 0, 1, budget=m ** (n - 1))
 
 
 # ------------------------------------------------------------------- support
