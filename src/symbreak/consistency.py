@@ -13,6 +13,15 @@ assigns part of its scope, and a prefix it rejects is not extended: no
 completion of it could satisfy the constraint. This prunes the walk, never
 the result. Budgets still count the full domain product, so whether a call
 raises BudgetExceeded does not depend on how much of the walk is pruned.
+
+SAC skips a singleton probe whose outcome is already known not to be a
+wipeout, in the manner of SAC-SDS (Bessière & Debruyne, IJCAI 2005) and of
+SAC3's greedy branches (Lecoutre & Cardon, IJCAI 2005): when the variable is
+already fixed to the value, or when an earlier surviving probe left a
+fixpoint that fixes it and still lies inside the current domains. Both rules
+are exact (see _sac_probes), so the removals, their order and their causes
+are those of probing every pair. The deadline is checked once per candidate
+pair, skipped or not, so a run whose probes are all skipped still times out.
 """
 
 from __future__ import annotations
@@ -183,8 +192,11 @@ def enforce_sac(
 
     A value stays iff assigning it and running the arc-consistency fixpoint
     produces no wipeout. After any removal every remaining pair is probed
-    again until a full pass is clean. With a `deadline` (a time.perf_counter()
-    value), each probe first checks the clock and raises SacTimeout once the
+    again until a full pass is clean. A probe whose outcome is already known
+    to be "no wipeout" is skipped (see _sac_probes); the removals, their
+    order and their causes are those of probing every pair. With a
+    `deadline` (a time.perf_counter() value), the clock is checked once per
+    candidate pair, skipped or not, and SacTimeout is raised once the
     deadline has passed.
     """
     _require_binary(problem.constraints)
@@ -193,32 +205,64 @@ def enforce_sac(
 
     log: list[Pruning] = []
     _, wipeout = engine.run(dom, log=log)
-    if wipeout:
-        return PropagationOutcome(log, True, dom)
+    if not wipeout:
+        wipeout = _sac_probes(engine, dom, log, deadline)
+    return PropagationOutcome(log, wipeout, dom)
 
+
+def _sac_probes(engine: PropagationEngine, dom: DomainSet, log: list, deadline: Optional[float]) -> bool:
+    """The probe loop of enforce_sac, from `dom`, which must be a fixpoint
+    of the engine's binary constraints. Narrows `dom` in place, appends the
+    removals to `log` and returns the wipeout flag.
+
+    Two rules skip a probe of (var, value) that cannot wipe out. `dom` is a
+    fixpoint at every probe: at the start, and after each removal's re-run.
+    - Singleton: dom[var] == {value}. The probe would start from dom itself,
+      where every filter is already at fixpoint (filters are idempotent),
+      so its run would remove nothing.
+    - Witness: an earlier probe that survived left a fixpoint F with
+      F[var] == {value}, and F is still inside dom. Then F lies inside
+      dom with var=value, and since filters are monotone, every state the
+      probe's run passes through contains F: no domain can empty.
+    A surviving probe's final masks are kept, by reference, under each of
+    its singleton pairs; the subset test is made at use, since removals may
+    have taken a value of F out of dom since.
+    """
+    masks = dom.masks
+    witnesses: dict[tuple[int, int], list[int]] = {}
     changed = True
     while changed:
         changed = False
-        for var in range(problem.num_vars):
-            for value in dom.values(var):
-                if not dom.contains(var, value):
+        for var in range(len(masks)):
+            for value in bits_of(masks[var]):
+                bit = 1 << value
+                if not masks[var] & bit:
                     continue  # removed by a fixpoint re-run inside this pass
                 if deadline is not None and time.perf_counter() > deadline:
                     raise SacTimeout("singleton arc consistency timed out")
+                if masks[var] == bit:
+                    continue
+                witness = witnesses.get((var, value))
+                if witness is not None and all(f & m == f for f, m in zip(witness, masks)):
+                    continue
                 probe = dom.copy()
-                probe.assign(var, value)
+                probe.masks[var] = bit
                 _, wiped = engine.run(probe, changed=[var])
                 if not wiped:
+                    fixed = probe.masks
+                    for w, m in enumerate(fixed):
+                        if not m & (m - 1):
+                            witnesses[w, m.bit_length() - 1] = fixed
                     continue
                 dom.remove(var, value)
                 log.append(Pruning(var, value, "sac-probe"))
                 changed = True
-                if dom.is_empty(var):
-                    return PropagationOutcome(log, True, dom)
+                if not masks[var]:
+                    return True
                 _, wipeout = engine.run(dom, changed=[var], log=log)
                 if wipeout:
-                    return PropagationOutcome(log, True, dom)
-    return PropagationOutcome(log, False, dom)
+                    return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,58 @@ def test_compare_budget_counts_the_full_product(capsys, tmp_path):
     assert code == 0 and json_part(out)["violations"] == 0
 
 
+def propagate_sac_stdout_digest(capsys, workdir, seeds):
+    """SHA-256 over the exit code and stdout of `propagate --level sac
+    --method puget` on one narrow and one wide compare case per seed, and how
+    many of those runs wipe out and how many print a pair whose cause is a
+    singleton probe."""
+    digest = hashlib.sha256()
+    wipeouts = probe_removals = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        for wide in (False, True):
+            path = workdir / f"sac{seed}-{int(wide)}.json"
+            save_problem(compare_case(rng, wide), str(path))
+            code, out, _ = run_cli(capsys, "propagate", str(path), "--level", "sac", "--method", "puget")
+            digest.update(f"{code}\n{out}".encode())
+            wipeouts += json_part(out)["wipeout"]
+            probe_removals += "sac-probe" in out
+    return digest.hexdigest(), wipeouts, probe_removals
+
+
+# Every pair SAC prints, with its cause (the filter that removed it or
+# "sac-probe"), the wipeout flag and the exit code. Recorded at commit
+# cf1a3ab, before SAC skipped probes whose outcome is known, by running
+# propagate_sac_stdout_digest(capsys, tmp_path, range(1000, 1075)) there.
+PROPAGATE_SAC_STDOUT_DIGEST = "c98fe1bbe7c44ecbee4e4500c080447d321f270ad0929a236029e85b25dd416d"
+
+
+def test_propagate_sac_keeps_its_stdout_digest(capsys, tmp_path):
+    digest, wipeouts, probe_removals = propagate_sac_stdout_digest(capsys, tmp_path, range(1000, 1075))
+    assert wipeouts and probe_removals
+    assert digest == PROPAGATE_SAC_STDOUT_DIGEST
+
+
+# The stdout of JSON commands that the golden files above do not cover,
+# recorded at commit cf1a3ab, before the report writer stopped calling
+# json.dumps: solutions (lists of ints), a witness keyed by str, and a
+# problem document (lists of pairs, nested dicts).
+GOLDEN_JSON_STDOUT = {
+    "solve-surjection-puget-all": ["solve", "surjection", "--method", "puget", "--goal", "all"],
+    "kcheck-3": ["kcheck", "--k", "3"],
+    "reduce-small": ["reduce", "--cnf", os.path.join(os.path.dirname(__file__), "golden", "reduce-small.cnf")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON_STDOUT))
+def test_json_report_matches_the_golden_file(capsys, name):
+    golden = os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")
+    with open(golden, encoding="utf-8") as f:
+        expected = f.read()
+    code, out, _ = run_cli(capsys, *GOLDEN_JSON_STDOUT[name])
+    assert code == 0 and out == expected
+
+
 def test_bench_getree_doubling_and_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench-getree", "--n-min", "4", "--n-max", "8")
     assert code == 0
@@ -544,6 +596,49 @@ def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
         main(argv)
     capsys.readouterr()
     assert len(built) <= 1
+
+
+JSON_STRINGS = [
+    "", "a", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "café",
+    "☃ snow", "\U0001f600", "\ud800", "</script>", "key", "Key", "kéy",
+]
+
+
+def random_json_value(rng, depth):
+    """A random document of the kinds reports hold, plus values that the
+    report writer must hand to json.dumps (floats, ints as dict keys)."""
+    kind = rng.randrange(11 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice(JSON_STRINGS)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -42, 2**63, -(10**40), rng.randint(-999, 999)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([1.5, -0.0, 1e300, float("inf")]) if rng.random() < 0.1 else rng.randint(-5, 5)
+    if kind in (4, 5):
+        # would-be pairs: ints, bools in place of ints, other lengths
+        pick = [lambda: rng.randint(-3, 99), lambda: rng.choice([True, False]), lambda: None]
+        return [rng.choice(pick)() if rng.random() < 0.2 else rng.randint(-3, 99)
+                for _ in range(rng.choice([2, 2, 2, 1, 3]))]
+    if kind in (6, 7):
+        return [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 8:
+        return [[rng.randint(0, 9), rng.randint(1, 9)] for _ in range(rng.randint(0, 5))]
+    keys = JSON_STRINGS if rng.random() < 0.97 else [1, 2, 3]
+    return {rng.choice(keys): random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_emit_json_matches_json_dumps(capsys):
+    rng = random.Random(2026)
+    docs = [
+        {}, [], {"a": {}, "b": []}, [[True, 1]], [[1, True]], [[1, 2], [3, 4]], [[1, 2], [3]],
+        [[1, 2], 3], [[1, 2.0]], {"x": 1.5}, {1: "int key"}, [-(10**30), 10**30], ["\"\\\x01é"],
+    ]
+    docs += [random_json_value(rng, 0) for _ in range(600)]
+    for doc in docs:
+        cli._emit_json(doc)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n", doc
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,6 +7,8 @@ from symbreak import (
     BudgetExceeded,
     DomainSet,
     Problem,
+    PropagationEngine,
+    Pruning,
     SacTimeout,
     brute_force_gac,
     enforce_sac,
@@ -18,7 +20,15 @@ from symbreak import (
     propagate_fixpoint,
 )
 from symbreak.breaking import ClassCanonical, ValueClassPartition, build_puget
-from symbreak.constraints import DisjunctionEq, Precedence, StrictLess
+from symbreak.constraints import (
+    Conditional,
+    DisjunctionEq,
+    EqImpliesEq,
+    EqImpliesLeq,
+    ParityLink,
+    Precedence,
+    StrictLess,
+)
 from symbreak.instances import staircase_fixture, surjection_fixture
 
 from conftest import (
@@ -267,6 +277,113 @@ def test_sac_deadline_is_checked_per_probe():
     assert late.final_domains == plain.final_domains
     with pytest.raises(SacTimeout):
         enforce_sac(enc.problem, deadline=time.perf_counter() - 1)
+
+
+def sac1_probing_every_pair(prob):
+    """SAC-1 that probes every candidate pair, in enforce_sac's order, and
+    skips none. A probe's verdict comes from a from-scratch fixpoint; the
+    re-run after a removal uses an engine seeded as enforce_sac seeds it, so
+    the causes in the log are comparable. Returns (log, wipeout, domains,
+    probes made)."""
+    dom = prob.domains.copy()
+    engine = PropagationEngine(prob.constraints, prob.num_vars)
+    log = []
+    probes = 0
+    if engine.run(dom, log=log)[1]:
+        return log, True, dom, probes
+    changed = True
+    while changed:
+        changed = False
+        for var in range(prob.num_vars):
+            for value in dom.values(var):
+                if not dom.contains(var, value):
+                    continue
+                probe = dom.copy()
+                probe.assign(var, value)
+                probes += 1
+                if not propagate_fixpoint(prob, probe).wipeout:
+                    continue
+                dom.remove(var, value)
+                log.append(Pruning(var, value, "sac-probe"))
+                changed = True
+                if dom.is_empty(var) or engine.run(dom, changed=[var], log=log)[1]:
+                    return log, True, dom, probes
+    return log, False, dom, probes
+
+
+def random_guarded_binary_problem(rng):
+    """A random binary problem plus binary constraints guarded by the
+    parity of one of their own variables (Conditional)."""
+    prob = random_binary_problem(rng)
+    guarded = []
+    for _ in range(rng.randint(0, 3)):
+        inner = random_binary_constraint(rng, prob.num_vars, prob.num_values)
+        guarded.append(Conditional(rng.choice(inner.scope), rng.choice(["odd", "even"]), inner))
+    return prob.with_constraints(guarded)
+
+
+def compare_small_encoding(rng, force_surjection):
+    """The dual encoding of a base shaped like the benchmark's compare-small
+    files: n 6..8, m 4..5, one class or the classes {1, 2} and {3..m}, and
+    domain sizes spread evenly over 1..m."""
+    n, m = rng.randint(6, 8), rng.randint(4, 5)
+    classes = [range(1, m + 1)] if rng.random() < 0.5 else [range(1, 3), range(3, m + 1)]
+    sizes = [1 + i * m // n for i in range(n)]
+    rng.shuffle(sizes)
+    lists = [sorted(rng.sample(range(1, m + 1), k)) for k in sizes]
+    base = Problem(n, m, DomainSet.from_values(lists), partition=ValueClassPartition.of(classes))
+    return build_puget(base, force_surjection=force_surjection).problem
+
+
+def stale_witness_problem():
+    """A problem on which a witness goes stale. In the first pass the probe
+    X0=4 survives with X1 in {2, 3}, a fixpoint that vouches for X0=4; the
+    probe X1=2 then removes X1=2, so that fixpoint leaves the domains. In
+    the second pass X0=4 wipes out: X1=1 goes (X1=1 needs X0<=3), and X1=3,
+    now odd and entailed, needs X0<=3 too."""
+    return Problem(2, 4, DomainSet.from_values([[1, 2, 4], [1, 2, 3]]), (
+        ParityLink(1, "even", 0, "even"),
+        EqImpliesEq(0, 2, 1, 3),
+        EqImpliesLeq(1, 1, 0, 3),
+        Conditional(1, "even", ParityLink(1, "even", 0, "odd")),
+        Conditional(1, "odd", EqImpliesLeq(1, 3, 0, 3)),
+    ))
+
+
+def test_sac_skips_no_probe_that_would_remove(monkeypatch):
+    # enforce_sac skips a probe only when it provably survives, so its log
+    # (pairs, order, causes), wipeout flag and domains are those of SAC-1
+    # probing every pair; and it skips some, so it makes fewer probe runs.
+    # Only its probes run the engine seeded by variable and without a log.
+    probe_runs = []
+    real_run = PropagationEngine.run
+
+    def counting_run(self, dom, changed=None, log=None):
+        if changed is not None and log is None:
+            probe_runs.append(1)
+        return real_run(self, dom, changed, log)
+
+    monkeypatch.setattr(PropagationEngine, "run", counting_run)
+
+    rng = make_rng(70)
+    problems = [stale_witness_problem()]
+    problems += [random_binary_problem(rng) for _ in range(150)]
+    problems += [random_guarded_binary_problem(rng) for _ in range(150)]
+    problems += [compare_small_encoding(rng, tail) for tail in (False, True) for _ in range(40)]
+    candidates = probe_removals = wipeouts = 0
+    for prob in problems:
+        log, wipeout, dom, probes = sac1_probing_every_pair(prob)
+        sac = enforce_sac(prob)
+        assert [(p.var, p.value, str(p.cause)) for p in sac.prunings] == [
+            (p.var, p.value, str(p.cause)) for p in log
+        ]
+        assert sac.wipeout == wipeout
+        assert sac.final_domains == dom
+        candidates += probes
+        probe_removals += sum(p.cause == "sac-probe" for p in log)
+        wipeouts += wipeout
+    assert probe_removals and wipeouts and wipeouts < len(problems)
+    assert len(probe_runs) < candidates
 
 
 # ------------------------------------------------------------- k-consistency
