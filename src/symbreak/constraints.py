@@ -28,6 +28,24 @@ returns `[]` before any revise when its two masks show that both sides keep
 everything: the test holds exactly when `keep_a` and `keep_b` would keep
 both masks, so it skips no call that removes something.
 
+A filter that removes nothing may return `engine.ENTAILED` instead of a fresh
+`[]`: its constraint then holds on every non-empty subdomain of the domain it
+saw, so no later call can remove anything, and the engine never wakes it
+again in that run (nor `solve` below that search node). Three kinds report
+it, each only where that is exact:
+
+- `DisjunctionEq`, when a scope variable is exactly {value}: that variable
+  keeps the value on every non-empty subdomain.
+- `_EqImplies`, inside its no-op test, when `a` lacks the trigger (the
+  implication holds vacuously) or every value of `b` is in the target (it
+  holds whatever `a` takes): on a non-empty subdomain the no-op test still
+  holds, so neither revise removes anything.
+- `Conditional`, by passing on its inner filter's return: a guard that holds
+  on every remaining value of its variable holds on every non-empty subset.
+
+`ENTAILED` is a plain empty list shared by every caller, so never mutate a
+filter's return.
+
 Constraints are immutable after construction and keep no state between calls.
 """
 
@@ -35,7 +53,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .engine import DomainSet, Removals, bits_of, mask_of
+from .engine import ENTAILED, DomainSet, Removals, bits_of, mask_of
 
 Removed = Union[Removals, list]  # a filter's return: a record, or [] for none
 
@@ -504,9 +522,16 @@ class _EqImplies(BinaryConstraint):
         masks = dom.masks
         ma = masks[a]
         mb = masks[b]
+        # Within that test the constraint is entailed when a lacks the
+        # trigger or b keeps only target values: it then holds, and the test
+        # stays true, on every non-empty subdomain.
         trigger = self._trigger
-        if ma & ~trigger and mb and (mb & self._target or not ma & trigger):
-            return []
+        if ma & ~trigger and mb:
+            target = self._target
+            if not ma & trigger or not mb & ~target:
+                return ENTAILED
+            if mb & target:
+                return []
         return BinaryConstraint.propagate(self, dom)
 
 
@@ -626,7 +651,7 @@ class DisjunctionEq(Constraint):
             m = masks[var]
             if m & bit:
                 if m == bit:
-                    return []  # already satisfied
+                    return ENTAILED  # assigned the value: satisfied for good
                 if first >= 0:
                     return []  # two candidates: nothing to prune
                 first = var

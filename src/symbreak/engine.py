@@ -168,6 +168,13 @@ class Removals:
         return f"Removals({list(self)!r})"
 
 
+# What a filter returns when it removed nothing and its constraint holds on
+# every non-empty subdomain of the domain it saw, so that no later call can
+# remove anything. A plain empty list, recognised by identity; it is shared,
+# so no caller may mutate a filter's return.
+ENTAILED: list = []
+
+
 @dataclass
 class PropagationOutcome:
     """What a propagation run did: the ordered removal log, the wipeout flag,
@@ -247,7 +254,13 @@ class PropagationEngine:
                 watchers[var].append(ci)
         self.watchers = watchers
 
-    def run(self, dom: DomainSet, changed: Optional[Iterable[int]] = None, log: Optional[list] = None):
+    def run(
+        self,
+        dom: DomainSet,
+        changed: Optional[Iterable[int]] = None,
+        log: Optional[list] = None,
+        entailed: Optional[list] = None,
+    ):
         """Propagate to fixpoint, mutating dom.
 
         Returns (removal count, wipeout). With `changed` given, only
@@ -265,12 +278,25 @@ class PropagationEngine:
         distinct variable in the iteration order of the set of its
         variables, never in write order.
 
-        `inq[ci]` is set exactly while constraint ci is queued or running:
-        the running constraint keeps its flag until it has woken the others,
-        so the wake loops skip it, like any queued one, by that flag alone
-        (its filter is complete, so its own writes give it nothing to do).
-        Every path that goes on to the next constraint clears the flag; a
-        wipeout ends the run, and the flags with it.
+        `inq[ci]` is set exactly while constraint ci is queued, running or
+        entailed: the running constraint keeps its flag until it has woken
+        the others, so the wake loops skip it, like any queued one, by that
+        flag alone (its filter is complete, so its own writes give it nothing
+        to do). A filter that returns `ENTAILED` keeps its flag for the rest
+        of the run: it removes nothing on any smaller domain, so it is never
+        queued again, and since popping a no-op call wakes nothing, the
+        queue order of every other constraint, the log, each pruning's cause
+        and the count before a wipeout stay what they would be if it were
+        called. Every other path that goes on to the next constraint clears
+        the flag; a wipeout ends the run, and the flags with it.
+
+        `entailed`, when given, is a list of per-constraint flags that the
+        caller owns, and the run uses it as `inq`. An incremental run reads
+        each set flag as a constraint entailed on a domain that contains dom
+        and never queues it; a full run overwrites the list. On a normal
+        exit it holds exactly the flags of the constraints found entailed,
+        and a copy of it may seed a run on any subdomain of the fixpoint;
+        after a wipeout its contents are unspecified.
         """
         cons = self.constraints
         watchers = self.watchers
@@ -278,11 +304,16 @@ class PropagationEngine:
         queue: deque[int] = deque()
         push = queue.append
         pop = queue.popleft
+        entailed_mark = ENTAILED
         if changed is None:
-            inq = [True] * len(cons)
+            if entailed is None:
+                inq = [True] * len(cons)
+            else:
+                inq = entailed
+                inq[:] = [True] * len(cons)
             queue.extend(range(len(cons)))
         else:
-            inq = [False] * len(cons)
+            inq = [False] * len(cons) if entailed is None else entailed
             for var in changed:
                 for ci in watchers[var]:
                     if not inq[ci]:
@@ -294,7 +325,7 @@ class PropagationEngine:
             c = cons[ci]
             removed = c.propagate(dom)
             if not removed:
-                inq[ci] = False
+                inq[ci] = removed is entailed_mark
                 continue
             count += removed.count
             writes = removed.writes

@@ -11,6 +11,11 @@ propagation or branching reaches them.
 The search is one loop over an explicit stack, one frame per assigned
 variable, and each child copies its parent's domain masks. Depth costs no
 Python recursion, so the recursion limit does not bound the variable count.
+Each frame also keeps its node's entailment flags (see
+`PropagationEngine.run`): the root's full run fills them, and each child
+runs on a copy of its parent's flags, so it never wakes a constraint that an
+ancestor found entailed; a child's domains lie inside its parent's fixpoint,
+where that constraint removes nothing.
 
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
@@ -119,15 +124,17 @@ def solve(
         return solutions, stats
 
     dom = (domains if domains is not None else problem.domains).copy()
-    pruned, wiped = engine.run(dom)
+    flags: list[bool] = []
+    pruned, wiped = engine.run(dom, entailed=flags)
     stats.prunings += pruned
     if wiped:
         return finish()
 
     # One frame per variable on the current path: (var, its domain before
-    # branching, the candidates not yet tried). dom is the node being entered,
-    # the root or a child that propagation did not wipe out.
-    stack: list[tuple[int, DomainSet, Iterator[int]]] = []
+    # branching, its entailment flags, the candidates not yet tried). dom and
+    # flags are the node being entered, the root or a child that propagation
+    # did not wipe out.
+    stack: list[tuple[int, DomainSet, list[bool], Iterator[int]]] = []
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             finish()
@@ -153,12 +160,12 @@ def solve(
         else:
             cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
             if cands:
-                stack.append((var, dom, iter(cands)))
+                stack.append((var, dom, flags, iter(cands)))
             else:
                 stats.branches += 1
                 stats.backtracks += 1
         while stack:  # advance to the next child that survives propagation
-            var, parent, untried = stack[-1]
+            var, parent, parent_flags, untried = stack[-1]
             value = next(untried, None)
             if value is None:
                 stack.pop()
@@ -167,13 +174,15 @@ def solve(
             stats.nodes += 1
             child = parent.copy()
             child.assign(var, value)
-            pruned, wiped = engine.run(child, changed=(var,))
+            child_flags = parent_flags[:]
+            pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
             stats.prunings += pruned
             partial[var] = value
             if node_hook is not None:
                 node_hook(dict(partial))
             if not wiped:
                 dom = child
+                flags = child_flags
                 break
             stats.branches += 1
             stats.backtracks += 1

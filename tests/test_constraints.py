@@ -20,6 +20,7 @@ from symbreak.constraints import (
     _narrow,
     _wipe_scope,
 )
+from symbreak.engine import ENTAILED
 
 from conftest import (
     decomposed_lex_filter,
@@ -421,6 +422,39 @@ def test_filters_are_idempotent():
             once = dom.copy()
             c.propagate(once)
             assert c.propagate(once) == [], (c, dom)
+
+
+def random_subdomain(rng, dom):
+    """A domain inside dom that keeps at least one value of every variable."""
+    lists = []
+    for var in range(len(dom)):
+        values = dom.values(var)
+        lists.append(rng.sample(values, rng.randint(1, len(values))))
+    return DomainSet.from_values(lists)
+
+
+def test_entailed_filters_stay_noops_on_subdomains():
+    # A filter returns ENTAILED only when its constraint holds on every
+    # non-empty subdomain of what it leaves, so that no later call can
+    # remove anything: the engine never wakes it again. Every kind that
+    # reports it must be seen doing so, including through Conditional.
+    rng = make_rng(12)
+    seen = set()
+    for _ in range(400):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        dom = random_domains(rng, n, m)
+        for c in random_filters(rng, n, m):
+            after = dom.copy()
+            if c.propagate(after) is not ENTAILED:
+                continue
+            assert after == dom, (c, dom)
+            seen.add(type(c))
+            for _ in range(8):
+                sub = random_subdomain(rng, after)
+                before = sub.copy()
+                assert c.propagate(sub) == [] and sub == before, (c, dom, before)
+    assert seen == {DisjunctionEq, EqImpliesLeq, EqImpliesEq, Conditional}
+    assert ENTAILED == [] and ENTAILED.__class__ is list
 
 
 def test_removal_records_keep_the_removal_list_contract():

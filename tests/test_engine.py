@@ -1,5 +1,6 @@
 import hashlib
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,9 @@ from symbreak import (
     propagate_fixpoint,
     solve,
 )
-from symbreak.breaking import adjacent_generators, lex_constraints
-from symbreak.engine import bits_of, full_mask, mask_of
-from symbreak.constraints import DisjunctionEq, Precedence, StrictLess
+from symbreak.breaking import adjacent_generators, build_puget, lex_constraints
+from symbreak.engine import ENTAILED, PropagationEngine, bits_of, full_mask, mask_of
+from symbreak.constraints import Conditional, Constraint, DisjunctionEq, Precedence, StrictLess
 
 from conftest import (
     brute_solutions,
@@ -255,3 +256,94 @@ WAKE_ORDER_DIGEST = "47f6762c4118d32914f535ea4985ced45ed453a8ef5f63d12b8d5896a1b
 
 def test_wake_order_keeps_logs_and_counters():
     assert wake_order_digest(range(100, 400)) == WAKE_ORDER_DIGEST
+
+
+class EntailmentProxy(Constraint):
+    """Delegates to a constraint and counts its filter calls in a shared
+    one-item list. A blind proxy returns a fresh [] in place of ENTAILED, so
+    the engine and search never learn that the constraint is entailed."""
+
+    def __init__(self, inner, calls, blind):
+        self.inner = inner
+        self.scope = inner.scope
+        self.calls = calls
+        self.blind = blind
+
+    def check(self, assignment):
+        return self.inner.check(assignment)
+
+    def propagate(self, dom):
+        self.calls[0] += 1
+        removed = self.inner.propagate(dom)
+        return [] if self.blind and removed is ENTAILED else removed
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def entailment_problem(rng):
+    """One time in four, the dual encoding of a small partitioned base (with
+    the base's partition, so ge-tree mode can run). Otherwise the shape of
+    wake_order_problem, with fewer binaries so that fewer problems wipe out
+    at the root, plus Conditional-guarded binaries and disjunctions."""
+    if rng.randrange(4) == 0:
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        part = random_partition(rng, m)
+        base = Problem(n, m, random_domains(rng, n, m), partition=part)
+        return replace(build_puget(base, force_surjection=rng.random() < 0.5).problem, partition=part)
+    n, m = rng.randint(3, 7), rng.randint(2, 4)
+
+    def disjunction():
+        return DisjunctionEq(rng.randint(1, m), rng.sample(range(n), rng.randint(2, n)))
+
+    cons = [random_binary_constraint(rng, n, m) for _ in range(rng.randint(0, 4))]
+    cons += [disjunction() for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 3)):
+        inner = random_binary_constraint(rng, n, m) if rng.random() < 0.5 else disjunction()
+        cons.append(Conditional(rng.randrange(n), rng.choice(["odd", "even"]), inner))
+    part = random_partition(rng, m)
+    order = rng.sample(range(n), n)
+    roll = rng.randrange(3)
+    if roll == 1:
+        cons += lex_constraints(adjacent_generators(part, m).perms, order)
+    elif roll == 2:
+        cons += [Precedence(cls, order) for cls in part.nontrivial_classes()]
+    return Problem(n, m, random_domains(rng, n, m), tuple(cons), part)
+
+
+def test_entailment_changes_no_log_and_no_search_result():
+    # Retiring entailed constraints must be invisible: against the same
+    # problem behind blind proxies, the fixpoint log (pairs, order, causes),
+    # the wipeout flag, the domains, and every search's solutions and
+    # counters match, while the plain side makes fewer filter calls. The
+    # flags a full run leaves mark constraints that remove nothing there.
+    rng = make_rng(15)
+    calls = {False: [0], True: [0]}
+    wipeouts = 0
+    for _ in range(300):
+        prob = entailment_problem(rng)
+        seen = {}
+        for blind, counter in calls.items():
+            proxies = tuple(EntailmentProxy(c, counter, blind) for c in prob.constraints)
+            wrapped = replace(prob, constraints=proxies)
+            out = propagate_fixpoint(wrapped)
+            record = [[(p.var, p.value, str(p.cause)) for p in out.prunings],
+                      out.wipeout, out.final_domains]
+            for mode in ("static", "ge-tree"):
+                for order in ("lex", "min-domain"):
+                    for goal in ("first", "all", "count"):
+                        strategy = Strategy(var_order=order, mode=mode)
+                        sols, stats = solve(wrapped, strategy=strategy, goal=goal)
+                        record.append((sols, stats.as_record()))
+            seen[blind] = record
+        assert seen[False] == seen[True], prob.constraints
+        wipeouts += seen[False][1]
+
+        dom, flags = prob.domains.copy(), [True, False]
+        _, wiped = PropagationEngine(prob.constraints, prob.num_vars).run(dom, entailed=flags)
+        if not wiped:
+            assert len(flags) == len(prob.constraints)
+            for c, flag in zip(prob.constraints, flags):
+                assert not flag or c.propagate(dom.copy()) == [], c
+    assert 0 < wipeouts < 300
+    assert calls[False][0] < calls[True][0]

@@ -13,7 +13,7 @@ from symbreak import (
     solve,
 )
 from symbreak.breaking import ValueClassPartition, build_generator_lex, build_precedence
-from symbreak.constraints import StrictLess
+from symbreak.constraints import DisjunctionEq, StrictLess
 
 from conftest import make_rng, random_domains, random_partition
 
@@ -71,6 +71,26 @@ def test_pigeonhole_search_counters_are_pinned():
         prob = pigeonhole_model(n)
         prob = prob.with_constraints(build_generator_lex(prob))
         assert record(prob, Strategy(var_order="min-domain")) == dict(zip(COUNTER_FIELDS, counts))
+
+
+def test_ge_tree_pigeonhole_calls_few_disjunctions_per_node(monkeypatch):
+    # A disjunction whose value is assigned is entailed, and no node below
+    # wakes it again: about 3.2 calls per node here, against 7.0 when every
+    # disjunction on a changed variable is called at every node.
+    calls = [0]
+    real_propagate = DisjunctionEq.propagate
+
+    def counting_propagate(self, dom):
+        calls[0] += 1
+        return real_propagate(self, dom)
+
+    monkeypatch.setattr(DisjunctionEq, "propagate", counting_propagate)
+    for order in ("lex", "min-domain"):
+        calls[0] = 0
+        _, stats = solve(pigeonhole_model(9), strategy=Strategy(mode="ge-tree", var_order=order),
+                         goal="count")
+        assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
+        assert calls[0] <= 4 * stats.nodes, (order, calls[0], stats.nodes)
 
 
 def test_candidates_used_plus_one_fresh():
