@@ -96,11 +96,6 @@ def apply_permutation(perm: Permutation, vector: Sequence[int]) -> tuple[int, ..
     return tuple(perm(v) for v in vector)
 
 
-def lex_leq_under(vector: Sequence[int], perm: Permutation) -> bool:
-    """vector <=lex image of vector under perm, compared pointwise."""
-    return LexLeqPermuted(perm, range(len(vector))).check(vector)
-
-
 def is_class_canonical(vector: Sequence[int], partition: ValueClassPartition) -> bool:
     """True iff within every class the used values are a prefix of the class
     and first occurrences appear in class order."""
@@ -116,7 +111,7 @@ def valsymbreak_holds(vector: Sequence[int], symmetries) -> bool:
     """
     if isinstance(symmetries, ValueClassPartition):
         return is_class_canonical(vector, symmetries)
-    return all(lex_leq_under(vector, perm) for perm in symmetries.perms)
+    return all(LexLeqPermuted(perm, range(len(vector))).check(vector) for perm in symmetries.perms)
 
 
 def canonical_form(vector: Sequence[int], partition: ValueClassPartition) -> tuple[int, ...]:

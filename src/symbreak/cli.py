@@ -34,7 +34,6 @@ from .consistency import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     SacTimeout,
-    _sac_probes,
     brute_force_gac,
     enforce_sac,
     has_support,
@@ -50,7 +49,7 @@ from .instances import (
     staircase_fixture,
     surjection_fixture,
 )
-from .problem_io import ProblemFormatError, load_problem, problem_to_dict
+from .problem_io import ProblemFormatError, load_problem, problem_to_dict, save_problem
 from .search import SearchTimeout, Strategy, solve
 
 EXIT_OK = 0
@@ -249,34 +248,41 @@ def cmd_solve(args) -> int:
 
 
 def _oracle_gac(problem: Problem, budget: int):
+    """Brute-force GAC on the problem's constraints plus, when it has
+    classes, class canonicity; the plain fixpoint when that leaves none."""
     constraints = list(problem.constraints)
     if problem.partition is not None:
         constraints.append(ClassCanonical(problem.partition, range(problem.num_vars)))
     if not constraints:
-        return None
+        return propagate_fixpoint(problem)
     return brute_force_gac(constraints, problem.domains, budget=budget)
+
+
+def _filter(problem: Problem, method: str, level: str, args):
+    """The outcome of one filtering level on the problem under a method (which
+    oracle-gac ignores), plus the encoding as _apply_method gives it."""
+    if level == "oracle-gac":
+        return _oracle_gac(problem, args.budget), None
+    run_problem, encoding = _apply_method(problem, method)
+    if level == "sac":
+        return enforce_sac(run_problem, deadline=_deadline(args)), encoding
+    if level == "ac" and any(len(c.scope) > 2 for c in run_problem.constraints):
+        raise ValueError("level 'ac' needs binary constraints; use 'gac'")
+    return propagate_fixpoint(run_problem), encoding
+
+
+def _x_pairs(prunings, encoding) -> set[tuple[int, int]]:
+    """The pruned pairs of the original variables."""
+    pairs = {(p.var, p.value) for p in prunings}
+    return encoding.x_pairs(pairs) if encoding is not None else pairs
 
 
 def cmd_propagate(args) -> int:
     started = time.perf_counter()
     problem = _resolve_problem(args.problem)
-    encoding = None
-    if args.level == "oracle-gac":
-        outcome = _oracle_gac(problem, args.budget)
-        if outcome is None:
-            outcome = propagate_fixpoint(problem)
-    else:
-        run_problem, encoding = _apply_method(problem, args.method)
-        if args.level == "sac":
-            outcome = enforce_sac(run_problem, deadline=_deadline(args))
-        else:
-            if args.level == "ac" and any(len(c.scope) > 2 for c in run_problem.constraints):
-                return _fail("level 'ac' needs binary constraints; use 'gac'", EXIT_USAGE)
-            outcome = propagate_fixpoint(run_problem)
-    pairs = outcome.pruned_pairs()
+    outcome, encoding = _filter(problem, args.method, args.level, args)
+    pairs = _x_pairs(outcome.prunings, encoding)
     causes = {(p.var, p.value): p.cause for p in outcome.prunings}
-    if encoding is not None:
-        pairs = encoding.x_pairs(pairs)
     doc = {
         "format": 1,
         "command": "propagate",
@@ -315,28 +321,18 @@ def cmd_compare(args) -> int:
     base = replace(problem, constraints=())
 
     results = {}
-    genlex = propagate_fixpoint(base.with_constraints(build_generator_lex(base)))
-    results["generator-lex"] = (genlex.pruned_pairs(), genlex.wipeout)
-    prec = propagate_fixpoint(base.with_constraints(build_precedence(base)))
-    results["precedence"] = (prec.pruned_pairs(), prec.wipeout)
-    encoding = build_puget(base)
-    # SAC's first step is this same AC run on the same domains, and its
-    # probes depend only on the domains they start from; so SAC's probe loop
-    # resumes on AC's engine from the AC fixpoint, and its log goes on from
-    # AC's. On an AC wipeout, SAC would stop after that first step: its
-    # result is AC's.
-    engine = PropagationEngine(encoding.problem.constraints, encoding.problem.num_vars)
-    dom = encoding.problem.domains.copy()
-    log = []
-    _, wipeout = engine.run(dom, log=log)
-    results["puget-ac"] = (encoding.x_pairs((p.var, p.value) for p in log), wipeout)
-    if not wipeout:
-        wipeout = _sac_probes(engine, dom, log, _deadline(args))
-    results["puget-sac"] = (encoding.x_pairs((p.var, p.value) for p in log), wipeout)
-    oracle = brute_force_gac(
-        [ClassCanonical(base.partition, range(base.num_vars))], base.domains, budget=args.budget
-    )
-    results["oracle"] = (oracle.pruned_pairs(), oracle.wipeout)
+    # SAC runs before the oracle, so a SAC timeout is reported before the
+    # oracle's budget is checked.
+    for name, method, level in (("generator-lex", "generator-lex", "gac"), ("precedence", "precedence", "gac"),
+                                ("puget-sac", "puget", "sac"), ("oracle", "none", "oracle-gac")):
+        outcome, encoding = _filter(base, method, level, args)
+        log, wipeout = outcome.prunings, outcome.wipeout
+        if level == "sac":
+            # SAC's log opens with AC's, up to its first probe removal (see
+            # enforce_sac): read puget-ac off it.
+            ac = next((i for i, p in enumerate(log) if p.cause == "sac-probe"), len(log))
+            results["puget-ac"] = (_x_pairs(log[:ac], encoding), wipeout and ac == len(log))
+        results[name] = (_x_pairs(log, encoding), wipeout)
 
     relations = []
     violations = 0
@@ -383,7 +379,7 @@ def cmd_bench_getree(args) -> int:
     previous = None
     for n in range(args.n_min, args.n_max + 1):
         problem = pigeonhole_model(n)
-        static_problem = problem.with_constraints(build_precedence(problem))
+        static_problem, _ = _apply_method(problem, "precedence")
         deadline = _deadline(args)
         try:
             _, static = solve(static_problem, goal="count", deadline=deadline)
@@ -413,14 +409,11 @@ def cmd_reduce(args) -> int:
     with open(args.cnf, "r", encoding="utf-8") as handle:
         formula = parse_dimacs(handle.read())
     problem, partition = reduce_3sat(formula)
-    doc = problem_to_dict(problem)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        save_problem(problem, args.out)
         print(f"wrote {args.out}")
     else:
-        _emit_json(doc)
+        _emit_json(problem_to_dict(problem))
     if args.check:
         if formula.num_vars > 3:
             return _fail(

@@ -198,6 +198,11 @@ def enforce_sac(
     `deadline` (a time.perf_counter() value), the clock is checked once per
     candidate pair, skipped or not, and SacTimeout is raised once the
     deadline has passed.
+
+    The log opens with the arc-consistency run: its entries before the first
+    whose cause is "sac-probe" are exactly propagate_fixpoint's log on the
+    same problem and domains, and arc consistency wipes out iff SAC does with
+    no "sac-probe" entry.
     """
     _require_binary(problem.constraints)
     dom = (domains if domains is not None else problem.domains).copy()

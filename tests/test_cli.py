@@ -346,6 +346,38 @@ def test_compare_keeps_its_stdout_digest(capsys, tmp_path):
     assert digest == COMPARE_STDOUT_DIGEST
 
 
+COMPARE_AS_PROPAGATE = {
+    "generator-lex": ["--method", "generator-lex"],
+    "precedence": ["--method", "precedence"],
+    "puget-ac": ["--method", "puget", "--level", "ac"],
+    "puget-sac": ["--method", "puget", "--level", "sac"],
+    "oracle": ["--level", "oracle-gac"],
+}
+
+
+def test_compare_entries_match_propagate(capsys, tmp_path):
+    # Each compare entry is what propagate prints for the same file under
+    # the matching method and level. Seed 27's narrow file is one on which
+    # SAC prunes more than AC.
+    ac_wipeouts = sac_gains = 0
+    for seed in range(20, 35):
+        rng = random.Random(seed)
+        for wide in (False, True):
+            path = str(tmp_path / f"case{seed}-{int(wide)}.json")
+            save_problem(compare_case(rng, wide), path)
+            _, out, _ = run_cli(capsys, "compare", path)
+            methods = json_part(out)["methods"]
+            assert sorted(methods) == sorted(COMPARE_AS_PROPAGATE)
+            for name, flags in COMPARE_AS_PROPAGATE.items():
+                code, out, _ = run_cli(capsys, "propagate", path, *flags)
+                doc = json_part(out)
+                assert code == (10 if doc["wipeout"] else 0), (path, name)
+                assert methods[name] == {"wipeout": doc["wipeout"], "prunings": doc["prunings"]}, (path, name)
+            ac_wipeouts += methods["puget-ac"]["wipeout"]
+            sac_gains += methods["puget-sac"]["prunings"] != methods["puget-ac"]["prunings"]
+    assert ac_wipeouts and sac_gains
+
+
 def test_compare_budget_counts_the_full_product(capsys, tmp_path):
     # 4**8 = 65,536 assignments, of which 2,795 are canonical: the oracle's
     # cut walk visits fewer than the product, but the budget counts it all.
@@ -440,6 +472,16 @@ def test_reduce_check_verdicts(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reduce", "--cnf", str(unsat), "--check", "--out", str(tmp_path / "y.json"))
     assert code == 0
     assert "support exists: no, SAT: no, agreement: yes" in out
+
+
+def test_reduce_out_file_is_the_stdout_document(capsys, tmp_path):
+    cnf = os.path.join(os.path.dirname(__file__), "golden", "reduce-small.cnf")
+    code, printed, _ = run_cli(capsys, "reduce", "--cnf", cnf)
+    assert code == 0
+    out = tmp_path / "problem.json"
+    code, stdout, _ = run_cli(capsys, "reduce", "--cnf", cnf, "--out", str(out))
+    assert code == 0 and stdout == f"wrote {out}\n"
+    assert out.read_bytes() == printed.encode()
 
 
 def test_reduce_rejects_bad_cnf(capsys, tmp_path):

@@ -386,6 +386,32 @@ def test_sac_skips_no_probe_that_would_remove(monkeypatch):
     assert len(probe_runs) < candidates
 
 
+def test_sac_log_opens_with_the_ac_log():
+    # compare reads its AC result off enforce_sac's log: the entries before
+    # the first "sac-probe" cause are propagate_fixpoint's log, and AC wipes
+    # out iff SAC does with no "sac-probe" entry.
+    # Two-colouring a triangle: AC keeps every value and SAC wipes out.
+    triangle = Problem(3, 2, DomainSet.full(3, 2), tuple(
+        EqImpliesEq(a, v, b, 3 - v) for a, b in ((0, 1), (1, 2), (2, 0)) for v in (1, 2)
+    ))
+    rng = make_rng(71)
+    problems = [triangle] + [random_binary_problem(rng) for _ in range(150)]
+    problems += [compare_small_encoding(rng, tail) for tail in (False, True) for _ in range(40)]
+    ac_wipeouts = sac_only_wipeouts = quiet = 0
+    for prob in problems:
+        ac = propagate_fixpoint(prob)
+        sac = enforce_sac(prob)
+        triples = [(p.var, p.value, str(p.cause)) for p in sac.prunings]
+        first_probe = next((i for i, t in enumerate(triples) if t[2] == "sac-probe"), len(triples))
+        assert triples[:first_probe] == [(p.var, p.value, str(p.cause)) for p in ac.prunings]
+        probed = first_probe < len(triples)
+        assert ac.wipeout == (sac.wipeout and not probed)
+        ac_wipeouts += ac.wipeout
+        sac_only_wipeouts += sac.wipeout and probed
+        quiet += not sac.wipeout and not probed
+    assert ac_wipeouts and sac_only_wipeouts and quiet
+
+
 # ------------------------------------------------------------- k-consistency
 
 def test_one_consistency_is_nonempty_domains():
