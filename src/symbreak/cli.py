@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 
 from .breaking import ClassCanonical, build_generator_lex, build_precedence, build_puget
 from .consistency import (
@@ -36,20 +34,21 @@ from .consistency import (
     SacTimeout,
     brute_force_gac,
     enforce_sac,
-    has_support,
     is_k_consistent,
 )
-from .engine import Problem, PropagationEngine, propagate_fixpoint
+from .engine import Problem, propagate_fixpoint
 from .instances import (
     DimacsError,
+    brute_force_sat,
     chained_pairs_family,
     parse_dimacs,
     pigeonhole_model,
     reduce_3sat,
+    reduction_has_support,
     staircase_fixture,
     surjection_fixture,
 )
-from .problem_io import ProblemFormatError, load_problem, problem_to_dict, save_problem
+from .problem_io import ProblemFormatError, dumps, load_problem, problem_to_dict, save_problem
 from .search import SearchTimeout, Strategy, solve
 
 EXIT_OK = 0
@@ -67,75 +66,8 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-class _NotPlain(Exception):
-    """A value _json_text leaves to json.dumps."""
-
-
-def _json_text(value, pad: str, out: list) -> None:
-    """Append to `out` the text json.dumps(value, indent=2, sort_keys=True)
-    gives `value` when it starts on a line indented by `pad`. Takes dicts
-    with str keys, lists, str, int, bool and None (by exact type); raises
-    _NotPlain on anything else, such as a float, a tuple or an int key."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value):
-            # A list of [int, int] pairs, such as a list of prunings.
-            item = inner + "  "
-            out.append("[\n" + ",\n".join(
-                f"{inner}[\n{item}{int.__repr__(a)},\n{item}{int.__repr__(b)}\n{inner}]" for a, b in value
-            ) + f"\n{pad}]")
-            return
-        out.append("[\n" + inner)
-        for i, item in enumerate(value):
-            if i:
-                out.append(",\n" + inner)
-            _json_text(item, inner, out)
-        out.append("\n" + pad + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        if any(type(key) is not str for key in value):
-            raise _NotPlain
-        inner = pad + "  "
-        out.append("{\n" + inner)
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",\n" + inner)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _json_text(value[key], inner, out)
-        out.append("\n" + pad + "}")
-    else:
-        raise _NotPlain
-
-
 def _emit_json(doc: dict) -> None:
-    """Print doc as json.dumps(doc, indent=2, sort_keys=True) would.
-
-    With `indent` set, json.dumps runs its pure-Python encoder, a large
-    share of a small compare request. _json_text writes the same bytes, in
-    less than half the time, for the types reports hold; a document holding
-    any other type goes to json.dumps whole."""
-    out: list[str] = []
-    try:
-        _json_text(doc, "", out)
-    except _NotPlain:
-        out = [json.dumps(doc, indent=2, sort_keys=True)]
-    print("".join(out))
+    print(dumps(doc))
 
 
 def _emit_table(headers, rows) -> None:
@@ -193,10 +125,10 @@ def _resolve_problem(spec: str) -> Problem:
 def _apply_method(problem: Problem, method: str):
     """The problem to run, plus the encoding when the method introduces
     first-use variables."""
+    if method != "none" and problem.partition is None:
+        raise ProblemFormatError(f"method {method!r} requires 'classes' in the problem")
     if method in ("none", "ge-tree"):
         return problem, None
-    if problem.partition is None:
-        raise ProblemFormatError(f"method {method!r} requires 'classes' in the problem")
     if method == "precedence":
         return problem.with_constraints(build_precedence(problem)), None
     if method == "generator-lex":
@@ -214,8 +146,6 @@ def _pair_list(pairs) -> list[list[int]]:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     problem = _resolve_problem(args.problem)
-    if args.method == "ge-tree" and problem.partition is None:
-        return _fail("ge-tree requires 'classes' in the problem", EXIT_USAGE)
     run_problem, encoding = _apply_method(problem, args.method)
     strategy = Strategy(
         var_order=args.var_order,
@@ -249,12 +179,10 @@ def cmd_solve(args) -> int:
 
 def _oracle_gac(problem: Problem, budget: int):
     """Brute-force GAC on the problem's constraints plus, when it has
-    classes, class canonicity; the plain fixpoint when that leaves none."""
+    classes, class canonicity."""
     constraints = list(problem.constraints)
     if problem.partition is not None:
         constraints.append(ClassCanonical(problem.partition, range(problem.num_vars)))
-    if not constraints:
-        return propagate_fixpoint(problem)
     return brute_force_gac(constraints, problem.domains, budget=budget)
 
 
@@ -408,7 +336,7 @@ def cmd_reduce(args) -> int:
     started = time.perf_counter()
     with open(args.cnf, "r", encoding="utf-8") as handle:
         formula = parse_dimacs(handle.read())
-    problem, partition = reduce_3sat(formula)
+    problem, _ = reduce_3sat(formula)
     if args.out:
         save_problem(problem, args.out)
         print(f"wrote {args.out}")
@@ -421,15 +349,8 @@ def cmd_reduce(args) -> int:
                 "support candidate; refusing above 3 variables (budget)",
                 EXIT_BUDGET,
             )
-        switch = problem.num_vars - 1
-        odd_value = 4 * formula.num_vars + 1
-        dom = problem.domains.copy()
-        dom.assign(switch, odd_value)
-        binaries = [c for c in problem.constraints if len(c.scope) == 2]
-        PropagationEngine(binaries, problem.num_vars).run(dom)
-        support = has_support(build_precedence(problem, partition), dom, switch, odd_value,
-                              budget=args.budget)
-        sat = _brute_force_sat(formula)
+        support = reduction_has_support(problem, budget=args.budget)
+        sat = brute_force_sat(formula)
         agree = support == sat
         print(f"support exists: {'yes' if support else 'no'}, SAT: {'yes' if sat else 'no'}, "
               f"agreement: {'yes' if agree else 'NO'}")
@@ -437,15 +358,6 @@ def cmd_reduce(args) -> int:
             return EXIT_FAILURE
     _emit_timing(started)
     return EXIT_OK
-
-
-def _brute_force_sat(formula) -> bool:
-    import itertools
-
-    for bits in itertools.product((False, True), repeat=formula.num_vars):
-        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause) for clause in formula.clauses):
-            return True
-    return False
 
 
 def cmd_kcheck(args) -> int:

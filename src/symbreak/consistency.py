@@ -285,25 +285,34 @@ class ConsistencyReport:
 
 
 class _CompatTables:
-    """Pairwise compatibility masks for a binary problem: table[x][vx] maps a
-    neighbouring variable to the mask of its values compatible with x=vx."""
+    """Compatibility masks for a problem of unary and binary constraints:
+    base[x] is the mask of x's values that every unary constraint on x
+    accepts, and table[x][vx] maps a neighbouring variable to the mask of its
+    values compatible with x=vx."""
 
     def __init__(self, problem: Problem):
         _require_binary(problem.constraints)
-        self.num_vars = problem.num_vars
-        self.dom = problem.domains
+        dom = problem.domains
+        base = list(dom.masks)
         table: dict[tuple[int, int], dict[int, int]] = {}
         for c in problem.constraints:
-            if len(c.scope) != 2:
+            if len(c.scope) == 1:
+                (x,) = c.scope
+                vec: list[Optional[int]] = [None] * problem.num_vars
+                for vx in bits_of(base[x]):
+                    vec[x] = vx
+                    if not c.check(vec):
+                        base[x] &= ~(1 << vx)
                 continue
             a, b = c.scope
-            dom_a, dom_b = self.dom.masks[a], self.dom.masks[b]
+            dom_a, dom_b = dom.masks[a], dom.masks[b]
             for va in bits_of(dom_a):
                 row = table.setdefault((a, va), {})
                 row[b] = row.get(b, -1) & c.keep_b(dom_b, 1 << va)
             for vb in bits_of(dom_b):
                 row = table.setdefault((b, vb), {})
                 row[a] = row.get(a, -1) & c.keep_a(dom_a, 1 << vb)
+        self.base = base
         self.table = table
 
     def narrow(self, acc: list[int], var: int, value: int) -> list[int]:
@@ -328,18 +337,17 @@ def is_k_consistent(
     if k < 1:
         raise ValueError("consistency level must be at least 1")
     tables = _tables if _tables is not None else _CompatTables(problem)
-    dom = problem.domains
     num_vars = problem.num_vars
     size = k - 1
     if size > num_vars:
         return ConsistencyReport(k, True)
 
     visited = 0
-    base = list(dom.masks)
+    base = tables.base
     for subset in itertools.combinations(range(num_vars), size):
         # An explicit stack over subset positions: position i tries values[i]
         # from next_index[i] against accs[i], the masks its prefix allows.
-        values = [dom.values(var) for var in subset]
+        values = [bits_of(base[var]) for var in subset]
         next_index = [0] * size
         accs = [base] * (size + 1)
         partial: dict[int, int] = {}

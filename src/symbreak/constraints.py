@@ -120,7 +120,7 @@ class Permutation:
     def __init__(self, image: Sequence[int]):
         img = tuple(image)
         if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError("image is not a permutation of 1..m")
+            raise ValueError(f"image {list(img)} is not a permutation of 1..{len(img)}")
         self.size = len(img)
         self.image = img
 

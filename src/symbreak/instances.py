@@ -1,13 +1,15 @@
 """Deterministic generators for the benchmark families this lab studies, plus
-a DIMACS CNF reader feeding the 3-SAT reduction."""
+a DIMACS CNF reader, the 3-SAT reduction and the two sides of its check."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
-from .breaking import ValueClassPartition, build_puget
+from .breaking import ValueClassPartition, build_precedence, build_puget
+from .consistency import DEFAULT_BUDGET, has_support
 from .constraints import AtLeastNValues, Conditional, DisjunctionEq, ParityLink
-from .engine import DomainSet, Problem, propagate_fixpoint
+from .engine import DomainSet, Problem, PropagationEngine, propagate_fixpoint
 
 
 def pigeonhole_model(n: int) -> Problem:
@@ -268,3 +270,24 @@ def reduce_3sat(formula: CNFFormula) -> tuple[Problem, ValueClassPartition]:
         partition=partition,
     )
     return problem, partition
+
+
+def reduction_has_support(problem: Problem, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff, in a problem reduce_3sat built, the switch's odd value has a
+    support under value precedence: exactly when the formula is satisfiable.
+    The binary constraints run to their fixpoint before the support search."""
+    switch = problem.num_vars - 1
+    odd_value = problem.num_values - 1  # 4N+1
+    dom = problem.domains.copy()
+    dom.assign(switch, odd_value)
+    binaries = [c for c in problem.constraints if len(c.scope) == 2]
+    PropagationEngine(binaries, problem.num_vars).run(dom)
+    return has_support(build_precedence(problem), dom, switch, odd_value, budget=budget)
+
+
+def brute_force_sat(formula: CNFFormula) -> bool:
+    """True iff one of the 2^N truth assignments satisfies every clause."""
+    for bits in itertools.product((False, True), repeat=formula.num_vars):
+        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause) for clause in formula.clauses):
+            return True
+    return False

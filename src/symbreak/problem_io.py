@@ -12,12 +12,15 @@ The format is versioned and human-writable:
     }
 
 Variables are 0-based indices; values are 1-based. "domains" defaults to full
-domains and "classes" to no interchangeable values.
+domains and "classes" to no interchangeable values. A "lex_leq_permuted"
+constraint's "sigma" lists the images of 1..k and must be a permutation of
+them; k may be below "values", and the values above k map to themselves.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .breaking import ValueClassPartition
 from .constraints import (
@@ -83,10 +86,8 @@ def constraint_from_json(doc: dict, num_vars: int, num_values: int) -> Constrain
     where = f"constraint {kind!r}"
     if kind == "lex_leq_permuted":
         sigma = doc.get("sigma")
-        message = f"{where}: sigma must be a permutation of 1..{num_values}"
-        _expect(isinstance(sigma, list), message)
+        _expect(isinstance(sigma, list), f"{where}: sigma must be a list of values")
         image = [_value(v, num_values, where) for v in sigma]
-        _expect(sorted(image) == list(range(1, num_values + 1)), message)
         return LexLeqPermuted(Permutation(image), _scope(doc.get("order"), num_vars, where))
     if kind == "precedence":
         values = doc.get("values")
@@ -232,7 +233,78 @@ def load_problem(path: str) -> Problem:
             raise ProblemFormatError("nesting too deep") from None
 
 
+class _NotPlain(Exception):
+    """A value _json_text leaves to json.dumps."""
+
+
+def _json_text(value, pad: str, out: list) -> None:
+    """Append to `out` the text json.dumps(value, indent=2, sort_keys=True)
+    gives `value` when it starts on a line indented by `pad`. Takes dicts
+    with str keys, lists, str, int, bool and None (by exact type); raises
+    _NotPlain on anything else, such as a float, a tuple or an int key."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value):
+            # A list of [int, int] pairs, such as a list of prunings.
+            item = inner + "  "
+            out.append("[\n" + ",\n".join(
+                f"{inner}[\n{item}{int.__repr__(a)},\n{item}{int.__repr__(b)}\n{inner}]" for a, b in value
+            ) + f"\n{pad}]")
+            return
+        out.append("[\n" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(",\n" + inner)
+            _json_text(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if any(type(key) is not str for key in value):
+            raise _NotPlain
+        inner = pad + "  "
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append(",\n" + inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _json_text(value[key], inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        raise _NotPlain
+
+
+def dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True): the text of every problem
+    file and report.
+
+    With `indent` set, json.dumps runs its pure-Python encoder, a large
+    share of a small compare request. _json_text writes the same bytes, in
+    less than half the time, for the types problems and reports hold; a
+    document holding any other type goes to json.dumps whole."""
+    out: list[str] = []
+    try:
+        _json_text(doc, "", out)
+    except _NotPlain:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
+
+
 def save_problem(problem: Problem, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(problem_to_dict(problem), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(dumps(problem_to_dict(problem)) + "\n")

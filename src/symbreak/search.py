@@ -47,7 +47,6 @@ class SearchStats:
     backtracks: int = 0
     prunings: int = 0
     solutions: int = 0
-    wall_ms: float = 0.0
 
     def as_record(self) -> dict:
         return {
@@ -117,18 +116,12 @@ def solve(
     num_vars = problem.num_vars
     partial: dict[int, int] = {}  # the current assignment, var -> value
     min_domain = strategy.var_order == "min-domain"
-    start = time.perf_counter()
-
-    def finish():
-        stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        return solutions, stats
-
     dom = (domains if domains is not None else problem.domains).copy()
     flags: list[bool] = []
     pruned, wiped = engine.run(dom, entailed=flags)
     stats.prunings += pruned
     if wiped:
-        return finish()
+        return solutions, stats
 
     # One frame per variable on the current path: (var, its domain before
     # branching, its entailment flags, the candidates not yet tried). dom and
@@ -137,7 +130,6 @@ def solve(
     stack: list[tuple[int, DomainSet, list[bool], Iterator[int]]] = []
     while True:
         if deadline is not None and time.perf_counter() > deadline:
-            finish()
             raise SearchTimeout(stats)
         if min_domain:
             free = (i for i in range(num_vars) if i not in partial)
@@ -154,7 +146,7 @@ def solve(
                 if goal != "count":
                     solutions.append(vec)
                 if goal == "first":
-                    return finish()
+                    return solutions, stats
             else:
                 stats.backtracks += 1
         else:
@@ -187,4 +179,4 @@ def solve(
             stats.branches += 1
             stats.backtracks += 1
         if not stack:
-            return finish()
+            return solutions, stats

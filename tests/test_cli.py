@@ -484,6 +484,43 @@ def test_reduce_out_file_is_the_stdout_document(capsys, tmp_path):
     assert out.read_bytes() == printed.encode()
 
 
+def test_level_ac_refuses_a_ternary_constraint(capsys, tmp_path):
+    path = tmp_path / "ternary.json"
+    path.write_text(json.dumps({
+        "format": 1, "variables": 3, "values": 3,
+        "constraints": [{"type": "disjunction_eq", "value": 3, "scope": [0, 1, 2]}],
+    }))
+    code, out, err = run_cli(capsys, "propagate", str(path), "--level", "ac")
+    assert (code, out) == (2, "")
+    assert "needs binary constraints" in err
+
+
+def test_methods_needing_classes_refuse_a_file_without_them(capsys, tmp_path):
+    path = tmp_path / "classless.json"
+    path.write_text(json.dumps({"format": 1, "variables": 2, "values": 2}))
+    for argv in (["solve", str(path), "--method", "ge-tree"], ["compare", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "requires 'classes'" in err, argv
+
+
+def test_bench_getree_refuses_an_empty_range(capsys):
+    code, out, err = run_cli(capsys, "bench-getree", "--n-min", "3", "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert "n-min" in err
+
+
+def test_oracle_gac_without_classes_or_constraints_prunes_nothing(capsys, tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"format": 1, "variables": 2, "values": 3, "domains": [[1, 3], [2]]}))
+    code, out, _ = run_cli(capsys, "propagate", str(path), "--level", "oracle-gac")
+    assert code == 0
+    assert json_part(out) == {
+        "format": 1, "command": "propagate", "level": "oracle-gac", "method": "oracle",
+        "wipeout": False, "prunings": [],
+    }
+
+
 def test_reduce_rejects_bad_cnf(capsys, tmp_path):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n0\n")

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import time
 
@@ -5,6 +6,7 @@ import pytest
 
 from symbreak import (
     BudgetExceeded,
+    ConsistencyWitness,
     DomainSet,
     Problem,
     PropagationEngine,
@@ -479,6 +481,72 @@ def test_k_consistency_budget():
     prob = Problem(5, 5, DomainSet.full(5, 5))
     with pytest.raises(BudgetExceeded):
         is_k_consistent(prob, 3, budget=1)
+
+
+def brute_k_witness(problem, k):
+    """The first (assignment, variable) that breaks k-consistency, straight
+    from the definition, or None when k-consistency holds. Subsets, their
+    value tuples and the variables an assignment must extend to are tried in
+    ascending order. An assignment is consistent when it satisfies every
+    constraint whose scope it assigns, unary ones included."""
+    n, dom = problem.num_vars, problem.domains
+
+    def consistent(partial):
+        vec = [partial.get(v) for v in range(n)]
+        return all(c.check(vec) for c in problem.constraints if all(v in partial for v in c.scope))
+
+    for subset in itertools.combinations(range(n), k - 1):
+        for values in itertools.product(*[dom.values(v) for v in subset]):
+            partial = dict(zip(subset, values))
+            if not consistent(partial):
+                continue
+            for other in range(n):
+                if other not in partial and not any(
+                    consistent({**partial, other: w}) for w in dom.values(other)
+                ):
+                    return partial, other
+    return None
+
+
+def random_unary_constraint(rng, n, m):
+    """A one-variable disjunction or precedence, possibly behind a guard on
+    the same variable."""
+    var = rng.randrange(n)
+    if rng.random() < 0.5:
+        inner = DisjunctionEq(rng.randint(1, m), [var])
+    else:
+        inner = Precedence(sorted(rng.sample(range(1, m + 1), rng.randint(2, m))), [var])
+    if rng.random() < 0.3:
+        return Conditional(var, rng.choice(["odd", "even"]), inner)
+    return inner
+
+
+def test_k_consistency_matches_the_definition_with_unary_constraints():
+    # Two cases a checker that ignores unary constraints gets wrong: a value
+    # they reject counted as consistent (a false witness) and as an
+    # extension (a later witness reported first).
+    only_two = Problem(2, 2, DomainSet.from_values([[1, 2], [1]]), (DisjunctionEq(2, [0]), StrictLess(1, 0)))
+    assert is_k_consistent(only_two, 2).holds
+    first_one = Problem(2, 2, DomainSet.full(2, 2), (DisjunctionEq(1, [1]), StrictLess(0, 1)))
+    assert is_k_consistent(first_one, 2).witness == ConsistencyWitness({0: 1}, 1, 2)
+
+    rng = make_rng(9)
+    failing = unary = 0
+    for _ in range(2000):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        cons = [random_binary_constraint(rng, n, m) for _ in range(rng.randint(0, 4))]
+        cons += [random_unary_constraint(rng, n, m) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(cons)
+        prob = Problem(n, m, random_domains(rng, n, m), tuple(cons))
+        unary += any(len(c.scope) == 1 for c in cons)
+        for k in (1, 2, 3):
+            expected = brute_k_witness(prob, k)
+            report = is_k_consistent(prob, k)
+            assert report.holds == (expected is None), (prob.constraints, k)
+            if expected is not None:
+                failing += 1
+                assert (report.witness.assignment, report.witness.variable) == expected, (prob.constraints, k)
+    assert unary > 1000 and 1000 < failing < 5000
 
 
 def test_sac_on_encoding_restricted_to_originals_matches_oracle():

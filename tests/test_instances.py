@@ -25,7 +25,7 @@ from symbreak import (
 )
 from symbreak.breaking import ClassCanonical, apply_permutation, build_precedence, build_puget, full_group
 from symbreak.constraints import ParityLink
-from symbreak.instances import chained_pairs_levels_base
+from symbreak.instances import brute_force_sat, chained_pairs_levels_base, reduction_has_support
 
 from conftest import brute_solutions, make_rng
 
@@ -210,6 +210,27 @@ def test_reduce_support_search_tracks_satisfiability():
         support = has_support(build_precedence(prob, part), dom, switch, odd)
         sat = brute_sat(f)
         assert support == sat
+        seen[sat] += 1
+    assert seen[True] and seen[False]
+
+
+def test_reduction_check_agrees_with_sat():
+    rng = make_rng(73)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        formula = CNFFormula(
+            n,
+            tuple(
+                tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+                for _ in range(m)
+            ),
+        )
+        sat = brute_sat(formula)
+        prob, _ = reduce_3sat(formula)
+        assert reduction_has_support(prob) == sat, formula
+        assert brute_force_sat(formula) == sat, formula
         seen[sat] += 1
     assert seen[True] and seen[False]
 

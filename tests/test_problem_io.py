@@ -2,7 +2,20 @@ import json
 
 import pytest
 
-from symbreak import pigeonhole_model, reduce_3sat, staircase_fixture, CNFFormula
+from symbreak import pigeonhole_model, reduce_3sat, staircase_fixture, CNFFormula, DomainSet, Problem
+from symbreak.breaking import ValueClassPartition
+from symbreak.constraints import (
+    AtLeastNValues,
+    Conditional,
+    DisjunctionEq,
+    EqImpliesEq,
+    EqImpliesLeq,
+    LexLeqPermuted,
+    ParityLink,
+    Permutation,
+    Precedence,
+    StrictLess,
+)
 from symbreak.problem_io import (
     ProblemFormatError,
     load_problem,
@@ -108,3 +121,37 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ProblemFormatError):
         load_problem(str(path))
+
+
+def test_every_constraint_kind_round_trips_and_saves_as_json_dumps(tmp_path):
+    constraints = (
+        # sigma shorter than the value range: 3 maps to itself
+        LexLeqPermuted(Permutation((2, 1)), (2, 0, 1)),
+        LexLeqPermuted(Permutation((1, 3, 2)), (0, 1)),
+        Precedence((1, 2), (0, 1, 2)),
+        EqImpliesLeq(0, 2, 1, 3),
+        EqImpliesEq(1, 1, 2, 3),
+        StrictLess(2, 0),
+        ParityLink(0, "odd", 2, "even"),
+        DisjunctionEq(3, (1, 2)),
+        AtLeastNValues(2, 2),
+        Conditional(1, "even", Conditional(0, "odd", StrictLess(1, 2))),
+    )
+    prob = Problem(
+        3, 3, DomainSet.from_values([[1, 2], [1, 2, 3], [3]]), constraints,
+        ValueClassPartition.of([[1, 2]]),
+    )
+    doc = problem_to_dict(prob)
+    assert [c["type"] for c in doc["constraints"]] == [
+        "lex_leq_permuted", "lex_leq_permuted", "precedence", "eq_implies_leq", "eq_implies_eq",
+        "strict_less", "parity_link", "disjunction_eq", "at_least_n_values", "conditional",
+    ]
+    assert doc["constraints"][0]["sigma"] == [2, 1]
+    assert problem_to_dict(problem_from_dict(doc)) == doc
+
+    path = tmp_path / "every-kind.json"
+    save_problem(prob, str(path))
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    loaded = load_problem(str(path))
+    assert problem_to_dict(loaded) == doc
+    assert [c.describe() for c in loaded.constraints] == [c.describe() for c in constraints]
