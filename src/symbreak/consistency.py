@@ -20,8 +20,10 @@ SAC3's greedy branches (Lecoutre & Cardon, IJCAI 2005): when the variable is
 already fixed to the value, or when an earlier surviving probe left a
 fixpoint that fixes it and still lies inside the current domains. Both rules
 are exact (see _sac_probes), so the removals, their order and their causes
-are those of probing every pair. The deadline is checked once per candidate
-pair, skipped or not, so a run whose probes are all skipped still times out.
+are those of probing every pair. Each probe also starts from the entailment
+flags of the fixpoint it probes, so it never calls a filter already entailed
+there. The deadline is checked once per candidate pair, skipped or not, so a
+run whose probes are all skipped still times out.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .constraints import BinaryConstraint
 from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning, bits_of
 
 DEFAULT_BUDGET = 10_000_000
@@ -209,16 +212,33 @@ def enforce_sac(
     engine = PropagationEngine(problem.constraints, problem.num_vars)
 
     log: list[Pruning] = []
-    _, wipeout = engine.run(dom, log=log)
+    flags: list[bool] = []
+    _, wipeout = engine.run(dom, log=log, entailed=flags)
     if not wipeout:
-        wipeout = _sac_probes(engine, dom, log, deadline)
+        wipeout = _sac_probes(engine, dom, log, deadline, flags)
     return PropagationOutcome(log, wipeout, dom)
 
 
-def _sac_probes(engine: PropagationEngine, dom: DomainSet, log: list, deadline: Optional[float]) -> bool:
+def _sac_probes(
+    engine: PropagationEngine,
+    dom: DomainSet,
+    log: list,
+    deadline: Optional[float],
+    flags: list[bool],
+) -> bool:
     """The probe loop of enforce_sac, from `dom`, which must be a fixpoint
     of the engine's binary constraints. Narrows `dom` in place, appends the
     removals to `log` and returns the wipeout flag.
+
+    `flags` are the entailment flags (see `PropagationEngine.run`) that the
+    run which reached `dom` left. Each probe runs on a copy of them, and
+    each removal's re-run on the list itself, which it updates for the
+    fixpoint it reaches. This is exact: every probe domain, and every domain
+    a re-run starts from, lies inside the fixpoint that set the flags, so a
+    flagged constraint would remove nothing there; by `run`'s own argument
+    a no-op call wakes nothing, so leaving it out changes no queue order, no
+    log entry or cause and no wipeout. A re-run narrows `dom` in place, so
+    the flags it leaves stay valid for every later probe.
 
     Two rules skip a probe of (var, value) that cannot wipe out. `dom` is a
     fixpoint at every probe: at the start, and after each removal's re-run.
@@ -252,7 +272,7 @@ def _sac_probes(engine: PropagationEngine, dom: DomainSet, log: list, deadline: 
                     continue
                 probe = dom.copy()
                 probe.masks[var] = bit
-                _, wiped = engine.run(probe, changed=[var])
+                _, wiped = engine.run(probe, changed=[var], entailed=flags[:])
                 if not wiped:
                     fixed = probe.masks
                     for w, m in enumerate(fixed):
@@ -264,7 +284,7 @@ def _sac_probes(engine: PropagationEngine, dom: DomainSet, log: list, deadline: 
                 changed = True
                 if not masks[var]:
                     return True
-                _, wipeout = engine.run(dom, changed=[var], log=log)
+                _, wipeout = engine.run(dom, changed=[var], log=log, entailed=flags)
                 if wipeout:
                     return True
     return False
@@ -288,7 +308,9 @@ class _CompatTables:
     """Compatibility masks for a problem of unary and binary constraints:
     base[x] is the mask of x's values that every unary constraint on x
     accepts, and table[x][vx] maps a neighbouring variable to the mask of its
-    values compatible with x=vx."""
+    values compatible with x=vx. A `BinaryConstraint` gives its rows by its
+    support masks; any other two-variable constraint, by `check` on each
+    pair of values."""
 
     def __init__(self, problem: Problem):
         _require_binary(problem.constraints)
@@ -306,12 +328,25 @@ class _CompatTables:
                 continue
             a, b = c.scope
             dom_a, dom_b = dom.masks[a], dom.masks[b]
-            for va in bits_of(dom_a):
-                row = table.setdefault((a, va), {})
-                row[b] = row.get(b, -1) & c.keep_b(dom_b, 1 << va)
-            for vb in bits_of(dom_b):
-                row = table.setdefault((b, vb), {})
-                row[a] = row.get(a, -1) & c.keep_a(dom_a, 1 << vb)
+            if isinstance(c, BinaryConstraint):
+                rows_a = {va: c.keep_b(dom_b, 1 << va) for va in bits_of(dom_a)}
+                rows_b = {vb: c.keep_a(dom_a, 1 << vb) for vb in bits_of(dom_b)}
+            else:
+                # No closed-form support masks: test each pair of values.
+                rows_a = dict.fromkeys(bits_of(dom_a), 0)
+                rows_b = dict.fromkeys(bits_of(dom_b), 0)
+                vec = [None] * problem.num_vars
+                for va in rows_a:
+                    vec[a] = va
+                    for vb in rows_b:
+                        vec[b] = vb
+                        if c.check(vec):
+                            rows_a[va] |= 1 << vb
+                            rows_b[vb] |= 1 << va
+            for x, y, rows in ((a, b, rows_a), (b, a, rows_b)):
+                for vx, compatible in rows.items():
+                    row = table.setdefault((x, vx), {})
+                    row[y] = row.get(y, -1) & compatible
         self.base = base
         self.table = table
 

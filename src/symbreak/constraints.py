@@ -28,11 +28,18 @@ returns `[]` before any revise when its two masks show that both sides keep
 everything: the test holds exactly when `keep_a` and `keep_b` would keep
 both masks, so it skips no call that removes something.
 
+`StrictLess` and `ParityLink` make the same kind of exact no-op test before
+their revises: for `StrictLess(a<b)` nothing goes when max a < max b and
+min b > min a, which on masks read `ma < 1 << (mb.bit_length() - 1)` and
+`mb & -mb > ma & -ma`.
+
 A filter that removes nothing may return `engine.ENTAILED` instead of a fresh
 `[]`: its constraint then holds on every non-empty subdomain of the domain it
 saw, so no later call can remove anything, and the engine never wakes it
-again in that run (nor `solve` below that search node). Three kinds report
-it, each only where that is exact:
+again in that run (nor `solve` below that search node, nor a SAC probe below
+the fixpoint that found it). Every kind with a filter reports it, each only
+where that is exact, and each from what its own no-op test or sweep already
+reads, without a further pass over its scope:
 
 - `DisjunctionEq`, when a scope variable is exactly {value}: that variable
   keeps the value on every non-empty subdomain.
@@ -40,8 +47,29 @@ it, each only where that is exact:
   implication holds vacuously) or every value of `b` is in the target (it
   holds whatever `a` takes): on a non-empty subdomain the no-op test still
   holds, so neither revise removes anything.
+- `ParityLink`, in the same shape, when `a` has no value of the condition
+  parity or `b` holds only values of the target parity.
+- `StrictLess(a<b)`, when both masks are non-empty and max a < min b, that
+  is `ma < mb & -mb`: every value of a subdomain of `a` stays below every
+  value of a subdomain of `b`.
+- `LexLeqPermuted`, only on a call that removed nothing, in two cases. At
+  beta, when every earlier position is a singleton tie (a fixed point of
+  the permutation) and max L < min image(L): on a subdomain L' of L,
+  image(L') lies inside image(L), so every value of L' falls strictly below
+  its own image and the comparison settles there; the filter, which meets
+  the same case at the same beta, removes nothing. And when every position
+  is a singleton tie: the vector equals its image on the only subdomain.
+- `Precedence`, when the leading singleton positions of its scope reach
+  class level s (a singleton prefix that passes the forward sweep is a
+  valid restricted-growth prefix) and no later position holds a class value
+  above level s+1: whatever the later positions take, each class value is
+  at most one level above the levels already used, so the constraint holds
+  on every assignment. The forward sweep reads both facts, and the filter
+  returns before the backward sweep, which would keep every value.
 - `Conditional`, by passing on its inner filter's return: a guard that holds
   on every remaining value of its variable holds on every non-empty subset.
+  And when the guard holds on no remaining value: the constraint then holds
+  vacuously on every subdomain.
 
 `ENTAILED` is a plain empty list shared by every caller, so never mutate a
 filter's return.
@@ -110,6 +138,14 @@ def _distinct_scope(scope: Sequence[int]) -> tuple[int, ...]:
 
 def value_parity(value: int) -> str:
     return "odd" if value & 1 else "even"
+
+
+def _parity_mask(parity: str, width: int) -> int:
+    """The values of the given parity below `width`, and perhaps a few
+    above. The parity classes are infinite bit patterns, so they are cut to
+    cover the masks in play: (4**k - 1) // 3 sets bits 0, 2, ..., 2k - 2."""
+    even = (4 ** (width // 2 + 1) - 1) // 3
+    return even << 1 if parity == "odd" else even
 
 
 class Permutation:
@@ -305,7 +341,10 @@ class LexLeqPermuted(Constraint):
                 p, left, right = dirty, dirty_left, dirty_right
                 low = left & -left
             elif p == n:
-                return removed  # every position ties at its c already
+                # Every position ties at its c already, on its only subdomain.
+                return removed or ENTAILED
+            elif left < right & -right and not removed:
+                return ENTAILED  # singleton ties, then max L < min image(L)
             high = 1 << (right.bit_length() - 1)
             left_out = left & -(high << 1)  # above max R
             right_out = right & (low - 1)  # below min L
@@ -386,16 +425,27 @@ class Precedence(Constraint):
 
         # Forward: highest first-use level reachable before each position,
         # while checking that every position keeps at least one usable value.
+        # lead is the level the leading singleton positions reach, set at the
+        # first wider position; later is the union of the masks from there.
         n = len(scope)
         reach_before = [0] * n
         reach = 0
+        lead = -1
+        later = 0
         for p, var in enumerate(scope):
             reach_before[p] = reach
             m = masks[var]
             if not m & (~class_mask | prefix_masks[min(reach + 1, c)]):
                 return _wipe_scope(masks, scope, [])
+            if lead >= 0:
+                later |= m
+            elif m & (m - 1):
+                lead = reach
+                later = m
             if reach < c and m >> values[reach] & 1:
                 reach += 1
+        if lead < 0 or not later & class_mask & ~prefix_masks[min(lead + 1, c)]:
+            return ENTAILED  # no later value can open a level out of turn
 
         # Backward: minimum level needed before each position so that the
         # suffix can still be completed.
@@ -581,6 +631,23 @@ class StrictLess(BinaryConstraint):
         # values above a's smallest; ma == 0 gives the empty mask
         return mb & -((ma & -ma) << 1)
 
+    def propagate(self, dom: DomainSet) -> Removed:
+        # Entailed when all of a lies below b's smallest; otherwise an exact
+        # no-op test: a keeps all of ma when it lies below b's largest, and
+        # b all of mb when it lies above a's smallest. The lowbit comparison
+        # comes first, since it implies mb != 0.
+        a, b = self.scope
+        masks = dom.masks
+        ma = masks[a]
+        if ma:
+            mb = masks[b]
+            low = mb & -mb
+            if ma < low:
+                return ENTAILED
+            if low > ma & -ma and ma < 1 << (mb.bit_length() - 1):
+                return []
+        return BinaryConstraint.propagate(self, dom)
+
     def describe(self) -> str:
         a, b = self.scope
         return f"strict_less(X{a}<X{b})"
@@ -603,12 +670,7 @@ class ParityLink(BinaryConstraint):
         return value_parity(va) != self.cond_parity or value_parity(vb) == self.target_parity
 
     def _parity_masks(self, width: int) -> tuple[int, int]:
-        # The parity classes are infinite bit patterns, so they are cut to
-        # cover the masks in play: (4**k - 1) // 3 sets bits 0, 2, ..., 2k - 2.
-        even = (4 ** (width // 2 + 1) - 1) // 3
-        odd = even << 1
-        return (odd if self.cond_parity == "odd" else even,
-                odd if self.target_parity == "odd" else even)
+        return _parity_mask(self.cond_parity, width), _parity_mask(self.target_parity, width)
 
     def keep_a(self, ma: int, mb: int) -> int:
         cond, target = self._parity_masks((ma | mb).bit_length())
@@ -621,6 +683,21 @@ class ParityLink(BinaryConstraint):
         if ma & ~cond:
             return mb
         return mb & target if ma else 0
+
+    def propagate(self, dom: DomainSet) -> Removed:
+        # The no-op test and entailment of _EqImplies.propagate, with the
+        # condition parity as the trigger and the target parity as the target.
+        a, b = self.scope
+        masks = dom.masks
+        ma = masks[a]
+        mb = masks[b]
+        cond, target = self._parity_masks((ma | mb).bit_length())
+        if ma & ~cond and mb:
+            if not ma & cond or not mb & ~target:
+                return ENTAILED
+            if mb & target:
+                return []
+        return BinaryConstraint.propagate(self, dom)
 
     def describe(self) -> str:
         a, b = self.scope
@@ -684,7 +761,8 @@ class Conditional(Constraint):
 
     Holds when the guard fails or the inner constraint holds. The filter runs
     the inner filter only once the guard is entailed, which here means every
-    remaining value of the condition variable has the guard parity.
+    remaining value of the condition variable has the guard parity; when no
+    remaining value has it, the constraint holds vacuously and is entailed.
     """
 
     def __init__(self, cond_var: int, cond_parity: str, inner: Constraint):
@@ -701,13 +779,11 @@ class Conditional(Constraint):
             return True
         return self.inner.check(assignment)
 
-    def _entailed(self, dom: DomainSet) -> bool:
-        parity = self.cond_parity
-        return all(value_parity(v) == parity for v in dom.values(self.cond_var))
-
     def propagate(self, dom: DomainSet) -> Removed:
-        if not self._entailed(dom):
-            return []
+        m = dom.masks[self.cond_var]
+        guard = _parity_mask(self.cond_parity, m.bit_length())
+        if m & ~guard:
+            return [] if m & guard else ENTAILED
         return self.inner.propagate(dom)
 
     def describe(self) -> str:

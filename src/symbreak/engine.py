@@ -16,9 +16,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
-# Masks up to this many bits take the one-bit-at-a-time paths below, which
-# are the fastest for them; each step on a wider mask costs time linear in
-# its width, so the wide paths make one pass over a byte or bit string.
+# Masks up to this many bits wide (in mask_of), or with up to this many
+# bits set (in bits_of and the log expansion), take the one-bit-at-a-time
+# paths below, which are the fastest for them. Each step on a wide mask
+# costs time linear in its width, so a mask with more bits set takes one
+# pass over a byte or bit string instead; with at most this many steps the
+# one-bit loop is linear in the width too, and cheaper than that string for
+# the common write that loses one value above 64.
 _NARROW_BITS = 64
 
 
@@ -50,7 +54,7 @@ def full_mask(num_values: int) -> int:
 
 def bits_of(mask: int) -> list[int]:
     """The values in mask, ascending."""
-    if mask.bit_length() > _NARROW_BITS:
+    if mask.bit_count() > _NARROW_BITS:
         return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
     out = []
     while mask:
@@ -333,7 +337,7 @@ class PropagationEngine:
                 # Expanded inline: a generator or a bits_of call per write
                 # costs more than the expansion of a small record.
                 for var, lost in writes:
-                    if lost.bit_length() > _NARROW_BITS:
+                    if lost.bit_count() > _NARROW_BITS:
                         log += [Pruning(var, value, c) for value in bits_of(lost)]
                         continue
                     while lost:

@@ -13,12 +13,14 @@ import random
 from symbreak import DomainSet, Problem
 from symbreak.breaking import ValueClassPartition
 from symbreak.constraints import (
+    Constraint,
     DisjunctionEq,
     EqImpliesEq,
     EqImpliesLeq,
     ParityLink,
     StrictLess,
 )
+from symbreak.engine import ENTAILED
 
 
 def make_rng(seed):
@@ -197,3 +199,26 @@ def decomposed_lex_filter(perm, order, domains: DomainSet):
             if dom.is_empty(var):
                 return wipe()
     return pruned, dom, False
+
+
+class EntailmentProxy(Constraint):
+    """Delegates to a constraint and counts its filter calls in a shared
+    one-item list. A blind proxy returns a fresh [] in place of ENTAILED, so
+    the engine and search never learn that the constraint is entailed."""
+
+    def __init__(self, inner, calls, blind):
+        self.inner = inner
+        self.scope = inner.scope
+        self.calls = calls
+        self.blind = blind
+
+    def check(self, assignment):
+        return self.inner.check(assignment)
+
+    def propagate(self, dom):
+        self.calls[0] += 1
+        removed = self.inner.propagate(dom)
+        return [] if self.blind and removed is ENTAILED else removed
+
+    def describe(self):
+        return self.inner.describe()

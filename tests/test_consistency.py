@@ -1,6 +1,7 @@
 import itertools
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,13 +28,16 @@ from symbreak.constraints import (
     DisjunctionEq,
     EqImpliesEq,
     EqImpliesLeq,
+    LexLeqPermuted,
     ParityLink,
+    Permutation,
     Precedence,
     StrictLess,
 )
 from symbreak.instances import staircase_fixture, surjection_fixture
 
 from conftest import (
+    EntailmentProxy,
     brute_solutions,
     make_rng,
     random_binary_constraint,
@@ -360,10 +364,10 @@ def test_sac_skips_no_probe_that_would_remove(monkeypatch):
     probe_runs = []
     real_run = PropagationEngine.run
 
-    def counting_run(self, dom, changed=None, log=None):
+    def counting_run(self, dom, changed=None, log=None, entailed=None):
         if changed is not None and log is None:
             probe_runs.append(1)
-        return real_run(self, dom, changed, log)
+        return real_run(self, dom, changed, log, entailed)
 
     monkeypatch.setattr(PropagationEngine, "run", counting_run)
 
@@ -386,6 +390,47 @@ def test_sac_skips_no_probe_that_would_remove(monkeypatch):
         wipeouts += wipeout
     assert probe_removals and wipeouts and wipeouts < len(problems)
     assert len(probe_runs) < candidates
+
+
+def test_sac_probes_start_from_the_ac_flags(monkeypatch):
+    # Probes and removal re-runs inherit the entailment flags of the
+    # fixpoint they start inside, which must be invisible: against the same
+    # problem behind blind proxies, the log (pairs, order, causes), the
+    # wipeout flag and the domains match, while the plain side makes far
+    # fewer filter calls inside its probes (engine runs seeded by variable
+    # and without a log).
+    probe_calls = {False: 0, True: 0}
+    real_run = PropagationEngine.run
+
+    def counting_run(self, dom, changed=None, log=None, entailed=None):
+        if changed is None or log is not None or not self.constraints:
+            return real_run(self, dom, changed, log, entailed)
+        proxy = self.constraints[0]
+        before = proxy.calls[0]
+        result = real_run(self, dom, changed, log, entailed)
+        probe_calls[proxy.blind] += proxy.calls[0] - before
+        return result
+
+    monkeypatch.setattr(PropagationEngine, "run", counting_run)
+
+    rng = make_rng(72)
+    problems = [random_binary_problem(rng) for _ in range(150)]
+    problems += [compare_small_encoding(rng, tail) for tail in (False, True) for _ in range(40)]
+    probe_removals = wipeouts = 0
+    for prob in problems:
+        seen = {}
+        for blind in (False, True):
+            counter = [0]
+            proxies = tuple(EntailmentProxy(c, counter, blind) for c in prob.constraints)
+            sac = enforce_sac(replace(prob, constraints=proxies))
+            seen[blind] = ([(p.var, p.value, str(p.cause)) for p in sac.prunings],
+                           sac.wipeout, sac.final_domains)
+        assert seen[False] == seen[True], prob.constraints
+        probe_removals += sum(cause == "sac-probe" for _, _, cause in seen[False][0])
+        wipeouts += seen[False][1]
+    assert probe_removals and 0 < wipeouts < len(problems)
+    # About a third here; 0.91 when each probe starts with no flags set.
+    assert 2 * probe_calls[False] < probe_calls[True], probe_calls
 
 
 def test_sac_log_opens_with_the_ac_log():
@@ -565,3 +610,60 @@ def test_sac_on_encoding_restricted_to_originals_matches_oracle():
             assert enc.x_pairs(sac.pruned_pairs()) == oracle.pruned_pairs()
             exact += 1
     assert exact  # the equality path is exercised
+
+
+def random_two_variable_constraint(rng, n, m):
+    """A constraint on two variables that is not a BinaryConstraint: a
+    disjunction, a precedence, a lex constraint, or a guard on one variable
+    over a constraint on the other or on both."""
+    x, y = rng.sample(range(n), 2)
+    roll = rng.randrange(4)
+    if roll == 0:
+        return DisjunctionEq(rng.randint(1, m), [x, y])
+    if roll == 1:
+        return Precedence(sorted(rng.sample(range(1, m + 1), rng.randint(2, m))), [x, y])
+    if roll == 2:
+        image = list(range(1, m + 1))
+        rng.shuffle(image)
+        return LexLeqPermuted(Permutation(image), [x, y])
+    inner = rng.choice([
+        StrictLess(x, y),
+        StrictLess(y, x),
+        DisjunctionEq(rng.randint(1, m), [y]),
+        ParityLink(y, rng.choice(["odd", "even"]), x, rng.choice(["odd", "even"])),
+    ])
+    return Conditional(x, rng.choice(["odd", "even"]), inner)
+
+
+def test_k_consistency_reads_two_variable_constraints_of_any_kind():
+    # Only the binary kinds have closed-form support masks; a two-variable
+    # disjunction, precedence, lex or guarded constraint is read through its
+    # check, and both agree with the definition.
+    either = Problem(2, 2, DomainSet.full(2, 2), (DisjunctionEq(1, [0, 1]),))
+    assert is_k_consistent(either, 2).holds
+    ordered = Problem(2, 3, DomainSet.full(2, 3), (Precedence([1, 2, 3], [0, 1]),))
+    assert is_k_consistent(ordered, 2).witness == ConsistencyWitness({0: 2}, 1, 2)
+
+    rng = make_rng(73)
+    failing = 0
+    for _ in range(1000):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        cons = [random_binary_constraint(rng, n, m) for _ in range(rng.randint(0, 2))]
+        cons += [random_two_variable_constraint(rng, n, m) for _ in range(rng.randint(1, 3))]
+        cons += [random_unary_constraint(rng, n, m) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(cons)
+        prob = Problem(n, m, random_domains(rng, n, m), tuple(cons))
+        first_failing = None
+        for k in (1, 2, 3):
+            expected = brute_k_witness(prob, k)
+            report = is_k_consistent(prob, k)
+            assert report.holds == (expected is None), (prob.constraints, k)
+            if expected is not None:
+                failing += 1
+                first_failing = first_failing or k
+                assert (report.witness.assignment, report.witness.variable) == expected, (prob.constraints, k)
+        strong = is_strongly_k_consistent(prob, 3)
+        assert strong.holds == (first_failing is None), prob.constraints
+        if first_failing is not None:
+            assert strong.witness.level == first_failing
+    assert 500 < failing < 2500, failing

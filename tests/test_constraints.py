@@ -453,7 +453,8 @@ def test_entailed_filters_stay_noops_on_subdomains():
                 sub = random_subdomain(rng, after)
                 before = sub.copy()
                 assert c.propagate(sub) == [] and sub == before, (c, dom, before)
-    assert seen == {DisjunctionEq, EqImpliesLeq, EqImpliesEq, Conditional}
+    assert seen == {Precedence, LexLeqPermuted, DisjunctionEq, EqImpliesLeq, EqImpliesEq,
+                    StrictLess, ParityLink, Conditional}
     assert ENTAILED == [] and ENTAILED.__class__ is list
 
 

@@ -14,10 +14,11 @@ from symbreak import (
     solve,
 )
 from symbreak.breaking import adjacent_generators, build_puget, lex_constraints
-from symbreak.engine import ENTAILED, PropagationEngine, bits_of, full_mask, mask_of
-from symbreak.constraints import Conditional, Constraint, DisjunctionEq, Precedence, StrictLess
+from symbreak.engine import PropagationEngine, bits_of, full_mask, mask_of
+from symbreak.constraints import Conditional, DisjunctionEq, Precedence, StrictLess
 
 from conftest import (
+    EntailmentProxy,
     brute_solutions,
     make_rng,
     random_binary_constraint,
@@ -84,6 +85,30 @@ def test_wide_wipeout_log_is_built_in_linear_time():
     assert out.wipeout
     expected = [(0, v) for v in range(1, width + 1)] + [(1, 1)]
     assert [(p.var, p.value) for p in out.prunings] == expected
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+def test_sparse_wide_masks_are_expanded_bit_by_bit_in_linear_time():
+    # A mask with at most 64 bits set takes the one-bit loop however wide it
+    # is, and one with more takes the string pass; both expand ascending.
+    # Expanding each one-value write of this 1,000-write run through a
+    # string as wide as its mask took about 4 s.
+    for values in ([10_000], list(range(100, 164)), list(range(100, 163)) + [10_000],
+                   list(range(100, 164)) + [10_000]):
+        mask = sum(1 << v for v in values)
+        assert bits_of(mask) == values
+        prob = Problem(2, 10_000, DomainSet([mask | 0b10, 0b100]), (StrictLess(0, 1),))
+        out = propagate_fixpoint(prob)
+        assert [(p.var, p.value) for p in out.prunings] == [(0, v) for v in values]
+
+    width, n = 100_000, 1000
+    prob = Problem(n + 1, width, DomainSet([0b10 | 1 << width] * n + [0b100]),
+                   tuple(StrictLess(var, n) for var in range(n)))
+    started = time.perf_counter()
+    out = propagate_fixpoint(prob)
+    elapsed = time.perf_counter() - started
+    assert not out.wipeout
+    assert [(p.var, p.value) for p in out.prunings] == [(var, width) for var in range(n)]
     assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
@@ -256,29 +281,6 @@ WAKE_ORDER_DIGEST = "47f6762c4118d32914f535ea4985ced45ed453a8ef5f63d12b8d5896a1b
 
 def test_wake_order_keeps_logs_and_counters():
     assert wake_order_digest(range(100, 400)) == WAKE_ORDER_DIGEST
-
-
-class EntailmentProxy(Constraint):
-    """Delegates to a constraint and counts its filter calls in a shared
-    one-item list. A blind proxy returns a fresh [] in place of ENTAILED, so
-    the engine and search never learn that the constraint is entailed."""
-
-    def __init__(self, inner, calls, blind):
-        self.inner = inner
-        self.scope = inner.scope
-        self.calls = calls
-        self.blind = blind
-
-    def check(self, assignment):
-        return self.inner.check(assignment)
-
-    def propagate(self, dom):
-        self.calls[0] += 1
-        removed = self.inner.propagate(dom)
-        return [] if self.blind and removed is ENTAILED else removed
-
-    def describe(self):
-        return self.inner.describe()
 
 
 def entailment_problem(rng):

@@ -13,7 +13,7 @@ from symbreak import (
     solve,
 )
 from symbreak.breaking import ValueClassPartition, build_generator_lex, build_precedence
-from symbreak.constraints import DisjunctionEq, StrictLess
+from symbreak.constraints import DisjunctionEq, LexLeqPermuted, StrictLess
 
 from conftest import make_rng, random_domains, random_partition
 
@@ -91,6 +91,26 @@ def test_ge_tree_pigeonhole_calls_few_disjunctions_per_node(monkeypatch):
                          goal="count")
         assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
         assert calls[0] <= 4 * stats.nodes, (order, calls[0], stats.nodes)
+
+
+def test_generator_lex_pigeonhole_calls_few_lex_filters_per_node(monkeypatch):
+    # A lex constraint that ties as singletons up to a position whose values
+    # all fall below their images, or ties as singletons throughout, is
+    # entailed, and no node below wakes it again: about 1.1 calls per node
+    # here, against 1.82 when it is woken whenever its scope changes.
+    calls = [0]
+    real_propagate = LexLeqPermuted.propagate
+
+    def counting_propagate(self, dom):
+        calls[0] += 1
+        return real_propagate(self, dom)
+
+    monkeypatch.setattr(LexLeqPermuted, "propagate", counting_propagate)
+    prob = pigeonhole_model(8)
+    prob = prob.with_constraints(build_generator_lex(prob))
+    _, stats = solve(prob, goal="count")
+    assert stats.nodes == PIGEONHOLE_GENERATOR_LEX[8][0]
+    assert calls[0] <= 1.3 * stats.nodes, (calls[0], stats.nodes)
 
 
 def test_candidates_used_plus_one_fresh():
