@@ -38,7 +38,6 @@ from .consistency import (
 )
 from .engine import Problem, propagate_fixpoint
 from .instances import (
-    DimacsError,
     brute_force_sat,
     chained_pairs_family,
     parse_dimacs,
@@ -467,15 +466,12 @@ def main(argv=None) -> int:
         if getattr(args, "timeout", None) is not None:
             args.timeout = _timeout(args)
         return args.func(args)
-    except (ProblemFormatError, DimacsError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except BudgetExceeded as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except SacTimeout as exc:
         return _fail(str(exc), EXIT_TIMEOUT)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # ProblemFormatError and DimacsError are ValueErrors.
         return _fail(str(exc), EXIT_USAGE)
     except (MemoryError, OverflowError):
         # A declared size whose domains or masks cannot be allocated.

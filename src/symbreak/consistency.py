@@ -19,7 +19,7 @@ wipeout, in the manner of SAC-SDS (Bessière & Debruyne, IJCAI 2005) and of
 SAC3's greedy branches (Lecoutre & Cardon, IJCAI 2005): when the variable is
 already fixed to the value, or when an earlier surviving probe left a
 fixpoint that fixes it and still lies inside the current domains. Both rules
-are exact (see _sac_probes), so the removals, their order and their causes
+are exact (see enforce_sac), so the removals, their order and their causes
 are those of probing every pair. Each probe also starts from the entailment
 flags of the fixpoint it probes, so it never calls a filter already entailed
 there. The deadline is checked once per candidate pair, skipped or not, so a
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .constraints import BinaryConstraint
 from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning, bits_of
@@ -47,15 +47,10 @@ class SacTimeout(Exception):
     """Singleton arc consistency passed its deadline before reaching a fixpoint."""
 
 
-def _domain_product(dom: DomainSet, variables: Iterable[int]) -> int:
+def _check_budget(dom: DomainSet, variables, budget: int, what: str) -> None:
     product = 1
     for var in variables:
         product *= dom.size(var)
-    return product
-
-
-def _check_budget(dom: DomainSet, variables, budget: int, what: str) -> None:
-    product = _domain_product(dom, variables)
     if product > budget:
         raise BudgetExceeded(f"{what} would enumerate {product} assignments, budget is {budget}")
 
@@ -195,53 +190,29 @@ def enforce_sac(
 
     A value stays iff assigning it and running the arc-consistency fixpoint
     produces no wipeout. After any removal every remaining pair is probed
-    again until a full pass is clean. A probe whose outcome is already known
-    to be "no wipeout" is skipped (see _sac_probes); the removals, their
-    order and their causes are those of probing every pair. With a
-    `deadline` (a time.perf_counter() value), the clock is checked once per
-    candidate pair, skipped or not, and SacTimeout is raised once the
-    deadline has passed.
+    again until a full pass is clean. With a `deadline` (a time.perf_counter()
+    value), the clock is checked once per candidate pair, skipped or not, and
+    SacTimeout is raised once the deadline has passed.
 
     The log opens with the arc-consistency run: its entries before the first
     whose cause is "sac-probe" are exactly propagate_fixpoint's log on the
     same problem and domains, and arc consistency wipes out iff SAC does with
     no "sac-probe" entry.
-    """
-    _require_binary(problem.constraints)
-    dom = (domains if domains is not None else problem.domains).copy()
-    engine = PropagationEngine(problem.constraints, problem.num_vars)
 
-    log: list[Pruning] = []
-    flags: list[bool] = []
-    _, wipeout = engine.run(dom, log=log, entailed=flags)
-    if not wipeout:
-        wipeout = _sac_probes(engine, dom, log, deadline, flags)
-    return PropagationOutcome(log, wipeout, dom)
+    Every probe starts from the entailment flags (see `PropagationEngine.run`)
+    of the fixpoint it probes: the AC run fills them, each probe runs on a
+    copy, and each removal's re-run on the list itself, which it updates for
+    the fixpoint it reaches. This is exact: every probe domain, and every
+    domain a re-run starts from, lies inside the fixpoint that set the flags,
+    so a flagged constraint would remove nothing there; by `run`'s own
+    argument a no-op call wakes nothing, so leaving it out changes no queue
+    order, no log entry or cause and no wipeout. A re-run narrows `dom` in
+    place, so the flags it leaves stay valid for every later probe.
 
-
-def _sac_probes(
-    engine: PropagationEngine,
-    dom: DomainSet,
-    log: list,
-    deadline: Optional[float],
-    flags: list[bool],
-) -> bool:
-    """The probe loop of enforce_sac, from `dom`, which must be a fixpoint
-    of the engine's binary constraints. Narrows `dom` in place, appends the
-    removals to `log` and returns the wipeout flag.
-
-    `flags` are the entailment flags (see `PropagationEngine.run`) that the
-    run which reached `dom` left. Each probe runs on a copy of them, and
-    each removal's re-run on the list itself, which it updates for the
-    fixpoint it reaches. This is exact: every probe domain, and every domain
-    a re-run starts from, lies inside the fixpoint that set the flags, so a
-    flagged constraint would remove nothing there; by `run`'s own argument
-    a no-op call wakes nothing, so leaving it out changes no queue order, no
-    log entry or cause and no wipeout. A re-run narrows `dom` in place, so
-    the flags it leaves stay valid for every later probe.
-
-    Two rules skip a probe of (var, value) that cannot wipe out. `dom` is a
-    fixpoint at every probe: at the start, and after each removal's re-run.
+    Two rules skip a probe of (var, value) that cannot wipe out, so the
+    removals, their order and their causes are those of probing every pair.
+    `dom` is a fixpoint at every probe: after the AC run, and after each
+    removal's re-run.
     - Singleton: dom[var] == {value}. The probe would start from dom itself,
       where every filter is already at fixpoint (filters are idempotent),
       so its run would remove nothing.
@@ -253,6 +224,15 @@ def _sac_probes(
     its singleton pairs; the subset test is made at use, since removals may
     have taken a value of F out of dom since.
     """
+    _require_binary(problem.constraints)
+    dom = (domains if domains is not None else problem.domains).copy()
+    engine = PropagationEngine(problem.constraints, problem.num_vars)
+
+    log: list[Pruning] = []
+    flags: list[bool] = []
+    _, wipeout = engine.run(dom, log=log, entailed=flags)
+    if wipeout:
+        return PropagationOutcome(log, True, dom)
     masks = dom.masks
     witnesses: dict[tuple[int, int], list[int]] = {}
     changed = True
@@ -283,11 +263,11 @@ def _sac_probes(
                 log.append(Pruning(var, value, "sac-probe"))
                 changed = True
                 if not masks[var]:
-                    return True
+                    return PropagationOutcome(log, True, dom)
                 _, wipeout = engine.run(dom, changed=[var], log=log, entailed=flags)
                 if wipeout:
-                    return True
-    return False
+                    return PropagationOutcome(log, True, dom)
+    return PropagationOutcome(log, False, dom)
 
 
 @dataclass(frozen=True)
@@ -304,119 +284,105 @@ class ConsistencyReport:
     witness: Optional[ConsistencyWitness] = None
 
 
-class _CompatTables:
-    """Compatibility masks for a problem of unary and binary constraints:
-    base[x] is the mask of x's values that every unary constraint on x
-    accepts, and table[x][vx] maps a neighbouring variable to the mask of its
-    values compatible with x=vx. A `BinaryConstraint` gives its rows by its
-    support masks; any other two-variable constraint, by `check` on each
-    pair of values."""
-
-    def __init__(self, problem: Problem):
-        _require_binary(problem.constraints)
-        dom = problem.domains
-        base = list(dom.masks)
-        table: dict[tuple[int, int], dict[int, int]] = {}
-        for c in problem.constraints:
-            if len(c.scope) == 1:
-                (x,) = c.scope
-                vec: list[Optional[int]] = [None] * problem.num_vars
-                for vx in bits_of(base[x]):
-                    vec[x] = vx
-                    if not c.check(vec):
-                        base[x] &= ~(1 << vx)
-                continue
-            a, b = c.scope
-            dom_a, dom_b = dom.masks[a], dom.masks[b]
-            if isinstance(c, BinaryConstraint):
-                rows_a = {va: c.keep_b(dom_b, 1 << va) for va in bits_of(dom_a)}
-                rows_b = {vb: c.keep_a(dom_a, 1 << vb) for vb in bits_of(dom_b)}
-            else:
-                # No closed-form support masks: test each pair of values.
-                rows_a = dict.fromkeys(bits_of(dom_a), 0)
-                rows_b = dict.fromkeys(bits_of(dom_b), 0)
-                vec = [None] * problem.num_vars
-                for va in rows_a:
-                    vec[a] = va
-                    for vb in rows_b:
-                        vec[b] = vb
-                        if c.check(vec):
-                            rows_a[va] |= 1 << vb
-                            rows_b[vb] |= 1 << va
-            for x, y, rows in ((a, b, rows_a), (b, a, rows_b)):
-                for vx, compatible in rows.items():
-                    row = table.setdefault((x, vx), {})
-                    row[y] = row.get(y, -1) & compatible
-        self.base = base
-        self.table = table
-
-    def narrow(self, acc: list[int], var: int, value: int) -> list[int]:
-        row = self.table.get((var, value))
-        if not row:
-            return acc
-        acc = list(acc)
-        for other, mask in row.items():
-            acc[other] &= mask
-        return acc
+def _compat_tables(problem: Problem) -> tuple[list[int], dict[tuple[int, int], dict[int, int]]]:
+    """Compatibility masks for a problem of unary and binary constraints, as
+    (base, table): base[x] is the mask of x's values that every unary
+    constraint on x accepts, and table[x, vx] maps a neighbouring variable to
+    the mask of its values compatible with x=vx. A `BinaryConstraint` gives
+    its rows by its support masks; any other two-variable constraint, by
+    `check` on each pair of values."""
+    _require_binary(problem.constraints)
+    dom = problem.domains
+    base = list(dom.masks)
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    for c in problem.constraints:
+        if len(c.scope) == 1:
+            (x,) = c.scope
+            vec: list[Optional[int]] = [None] * problem.num_vars
+            for vx in bits_of(base[x]):
+                vec[x] = vx
+                if not c.check(vec):
+                    base[x] &= ~(1 << vx)
+            continue
+        a, b = c.scope
+        dom_a, dom_b = dom.masks[a], dom.masks[b]
+        if isinstance(c, BinaryConstraint):
+            rows_a = {va: c.keep_b(dom_b, 1 << va) for va in bits_of(dom_a)}
+            rows_b = {vb: c.keep_a(dom_a, 1 << vb) for vb in bits_of(dom_b)}
+        else:
+            # No closed-form support masks: test each pair of values.
+            rows_a = dict.fromkeys(bits_of(dom_a), 0)
+            rows_b = dict.fromkeys(bits_of(dom_b), 0)
+            vec = [None] * problem.num_vars
+            for va in rows_a:
+                vec[a] = va
+                for vb in rows_b:
+                    vec[b] = vb
+                    if c.check(vec):
+                        rows_a[va] |= 1 << vb
+                        rows_b[vb] |= 1 << va
+        for x, y, rows in ((a, b, rows_a), (b, a, rows_b)):
+            for vx, compatible in rows.items():
+                row = table.setdefault((x, vx), {})
+                row[y] = row.get(y, -1) & compatible
+    return base, table
 
 
-def is_k_consistent(
-    problem: Problem,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    _tables: Optional[_CompatTables] = None,
-) -> ConsistencyReport:
+def is_k_consistent(problem: Problem, k: int, budget: int = DEFAULT_BUDGET) -> ConsistencyReport:
     """Every consistent assignment of every (k-1)-subset of variables extends
     to every other variable. Consistent means: satisfies each constraint that
     the partial assignment fully instantiates."""
     if k < 1:
         raise ValueError("consistency level must be at least 1")
-    tables = _tables if _tables is not None else _CompatTables(problem)
+    base, table = _compat_tables(problem)
     num_vars = problem.num_vars
     size = k - 1
     if size > num_vars:
         return ConsistencyReport(k, True)
 
     visited = 0
-    base = tables.base
     for subset in itertools.combinations(range(num_vars), size):
         # An explicit stack over subset positions: position i tries values[i]
         # from next_index[i] against accs[i], the masks its prefix allows.
         values = [bits_of(base[var]) for var in subset]
         next_index = [0] * size
         accs = [base] * (size + 1)
-        partial: dict[int, int] = {}
         i = 0
         while i >= 0:
             if i == size:
                 visited += 1
                 if visited > budget:
                     raise BudgetExceeded(f"consistency check visited over {budget} assignments")
+                acc = accs[size]
                 for other in range(num_vars):
-                    if other not in partial and accs[size][other] == 0:
-                        return ConsistencyReport(k, False, ConsistencyWitness(dict(partial), other, k))
+                    if acc[other] == 0 and other not in subset:
+                        assignment = {var: values[p][next_index[p] - 1] for p, var in enumerate(subset)}
+                        return ConsistencyReport(k, False, ConsistencyWitness(assignment, other, k))
                 i -= 1
                 continue
             var, j = subset[i], next_index[i]
             if j == len(values[i]):
-                partial.pop(var, None)
                 next_index[i] = 0
                 i -= 1
                 continue
             next_index[i] = j + 1
             value = values[i][j]
-            if accs[i][var] >> value & 1:
-                partial[var] = value
-                accs[i + 1] = tables.narrow(accs[i], var, value)
+            acc = accs[i]
+            if acc[var] >> value & 1:
+                row = table.get((var, value))
+                if row:
+                    acc = list(acc)
+                    for other, mask in row.items():
+                        acc[other] &= mask
+                accs[i + 1] = acc
                 i += 1
     return ConsistencyReport(k, True)
 
 
 def is_strongly_k_consistent(problem: Problem, k: int, budget: int = DEFAULT_BUDGET) -> ConsistencyReport:
     """j-consistency for every j up to k; reports the first failing level."""
-    tables = _CompatTables(problem)
     for j in range(1, k + 1):
-        report = is_k_consistent(problem, j, budget=budget, _tables=tables)
+        report = is_k_consistent(problem, j, budget=budget)
         if not report.holds:
             return ConsistencyReport(k, False, report.witness)
     return ConsistencyReport(k, True)

@@ -234,9 +234,13 @@ def reduce_3sat(formula: CNFFormula) -> tuple[Problem, ValueClassPartition]:
     its literals. A final switch variable selects, by parity, between an
     unsatisfiable distinct-count demand and a satisfiable one, wired through
     parity links. Values pair up into 2N interchangeable classes; the two
-    switch values stay unclassed.
+    switch values stay unclassed. A formula needs at least one variable:
+    with none, the unsatisfiable demand would ask for at least zero distinct
+    values, which no problem file can state.
     """
     n, m = formula.num_vars, len(formula.clauses)
+    if n < 1:
+        raise ValueError("need at least one propositional variable")
     switch = n + m
     value_lists: list[list[int]] = []
     for i in range(1, n + 1):

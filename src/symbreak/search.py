@@ -25,7 +25,7 @@ candidate set. A failure at the root therefore counts zero branches.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional
 
 from .breaking import ValueClassPartition
@@ -49,13 +49,7 @@ class SearchStats:
     solutions: int = 0
 
     def as_record(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "branches": self.branches,
-            "backtracks": self.backtracks,
-            "prunings": self.prunings,
-            "solutions": self.solutions,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

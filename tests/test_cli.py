@@ -529,6 +529,17 @@ def test_reduce_rejects_bad_cnf(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_reduce_of_formula_without_variables_is_a_usage_error(capsys, tmp_path):
+    # "p cnf 0 0" is valid DIMACS, but its encoding is no loadable problem.
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 0 0\n")
+    out = tmp_path / "empty.json"
+    code, stdout, err = run_cli(capsys, "reduce", "--cnf", str(empty), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "at least one" in err
+    assert not out.exists()
+
+
 def test_reduce_check_budget_refusal(capsys, tmp_path):
     big = tmp_path / "big.cnf"
     big.write_text("p cnf 4 1\n1 2 3 0\n")
@@ -548,6 +559,19 @@ def test_kcheck_output_shape(capsys):
 def test_kcheck_rejects_bad_k(capsys):
     code, _, err = run_cli(capsys, "kcheck", "--family", "chained-pairs", "--k", "0")
     assert code == 2
+
+
+def test_kcheck_budget_exit(capsys, monkeypatch):
+    # Level 2 of chained-pairs:3 visits more than one assignment, by flag
+    # and by environment alike.
+    monkeypatch.delenv("SYMBREAK_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "kcheck", "--k", "3", "--budget", "1")
+    assert (code, out) == (3, "")
+    assert "consistency check visited over 1 assignments" in err
+    monkeypatch.setenv("SYMBREAK_BUDGET", "1")
+    code, out, err = run_cli(capsys, "kcheck", "--k", "3")
+    assert (code, out) == (3, "")
+    assert "consistency check visited over 1 assignments" in err
 
 
 def test_schema_error_exit_code(capsys, tmp_path):

@@ -140,6 +140,12 @@ def test_reduce_clause_domains_follow_literal_polarity():
     assert prob.domains.values(3) == [1, 2, 7, 8, 9, 10]
 
 
+def test_reduce_rejects_formula_without_variables():
+    assert parse_dimacs("p cnf 0 0\n") == CNFFormula(0, ())
+    with pytest.raises(ValueError, match="at least one"):
+        reduce_3sat(CNFFormula(0, ()))
+
+
 def test_reduce_even_switch_side_is_satisfiable():
     rng = make_rng(71)
     for _ in range(20):
