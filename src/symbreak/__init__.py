@@ -40,6 +40,7 @@ from .constraints import (
     Permutation,
     Precedence,
     StrictLess,
+    ValueCover,
 )
 from .engine import (
     DomainSet,

@@ -43,6 +43,8 @@ reads, without a further pass over its scope:
 
 - `DisjunctionEq`, when a scope variable is exactly {value}: that variable
   keeps the value on every non-empty subdomain.
+- `ValueCover`, when that holds for every needed value, as it then does
+  for every member.
 - `_EqImplies`, inside its no-op test, when `a` lacks the trigger (the
   implication holds vacuously) or every value of `b` is in the target (it
   holds whatever `a` takes): on a non-empty subdomain the no-op test still
@@ -738,6 +740,65 @@ class DisjunctionEq(Constraint):
 
     def describe(self) -> str:
         return f"disjunction_eq(value={self.value})"
+
+
+class ValueCover(Constraint):
+    """The conjunction of `DisjunctionEq` members over one variable set: every
+    member's value is taken somewhere in the scope.
+
+    The filter computes the fixpoint of the members' filters, not GAC on the
+    conjunction: a needed value with no candidate wipes the scope, a needed
+    value with exactly one candidate pins that variable, and it repeats until
+    no pin is left. Two needed values whose only candidate is the same
+    variable cannot both be pinned, so that wipes the scope too, as the
+    member of the value that loses its candidate would. Each round reads the
+    scope once for a `seen` mask (values with a candidate) and a `twice`
+    mask (values with two or more); a value is already covered when some
+    variable is exactly {value}. The call is idempotent, since it stops only
+    when nothing is left to pin, and it returns `ENTAILED` when every needed
+    value is covered, the case where every member reports it.
+    """
+
+    def __init__(self, members: Sequence[DisjunctionEq]):
+        members = tuple(members)
+        if not members:
+            raise ValueError("a value cover needs at least one disjunction")
+        self.scope = members[0].scope
+        if any(set(c.scope) != set(self.scope) for c in members):
+            raise ValueError("value cover members must share one variable set")
+        self.members = members
+        self.needed = mask_of(c.value for c in members)
+
+    def check(self, assignment) -> bool:
+        return all(c.check(assignment) for c in self.members)
+
+    def propagate(self, dom: DomainSet) -> Removed:
+        masks = dom.masks
+        scope = self.scope
+        needed = self.needed
+        removed: Removed = []
+        while True:
+            seen = twice = covered = 0
+            for var in scope:
+                m = masks[var]
+                twice |= seen & m
+                seen |= m
+                if not m & (m - 1):
+                    covered |= m
+            if needed & ~seen:
+                return _wipe_scope(masks, scope, removed)
+            pins = needed & ~twice & ~covered
+            if not pins:
+                return removed if removed or needed & ~covered else ENTAILED
+            for var in scope:
+                hit = masks[var] & pins
+                if hit:
+                    if hit & (hit - 1):
+                        return _wipe_scope(masks, scope, removed)
+                    removed = _narrow(masks, var, hit, removed)
+
+    def describe(self) -> str:
+        return f"value_cover(values={','.join(str(c.value) for c in self.members)})"
 
 
 class AtLeastNValues(Constraint):

@@ -17,6 +17,17 @@ runs on a copy of its parent's flags, so it never wakes a constraint that an
 ancestor found entailed; a child's domains lie inside its parent's fixpoint,
 where that constraint removes nothing.
 
+`solve` propagates the problem's constraints as they are, with one
+exception: when every constraint's scope is one variable set and at least
+two are `DisjunctionEq`, as in the pigeonhole family with or without
+precedence or generator-lex, its engine runs those disjunctions as one
+`ValueCover` kernel (see `_fuse_value_covers`). On ge-tree `pigeonhole:10`
+that is one call per node in place of 3.2 disjunction calls. The kernel
+reaches the same fixpoint, so every node, branch and pruning is what it
+would be without it. The leaf check still reads `problem.constraints`, and
+every other caller of the engine, logged runs included, keeps the
+decomposition.
+
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
 candidate set. A failure at the root therefore counts zero branches.
@@ -26,9 +37,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .breaking import ValueClassPartition
+from .constraints import Conditional, DisjunctionEq, ValueCover
 from .engine import DomainSet, Problem, PropagationEngine, bits_of, mask_of
 
 
@@ -82,6 +94,28 @@ def ge_tree_candidates(
     return bits_of(keep)
 
 
+def _fuse_value_covers(constraints: tuple) -> Sequence:
+    """The constraints `solve` propagates: the problem's own, except that
+    when every constraint's scope is one variable set and at least two are
+    `DisjunctionEq`, those become one `ValueCover`, queued first.
+
+    The kernel reaches the members' fixpoint, so every node keeps its domains
+    and wipeout flag; the guard keeps `prunings` exact too. A run that ends
+    in a wipeout stops at the first filter call that empties a variable, and
+    every filter here empties its whole scope, which is the whole set, so
+    the run's count is every value the set held when the run began, however
+    the queue was ordered. A `Conditional` is left out of the guard, since
+    its filter wipes only its inner scope.
+    """
+    disjunctions = [c for c in constraints if c.__class__ is DisjunctionEq]
+    if len(disjunctions) < 2:
+        return constraints
+    shared = set(disjunctions[0].scope)
+    if any(c.__class__ is Conditional or set(c.scope) != shared for c in constraints):
+        return constraints
+    return [ValueCover(disjunctions)] + [c for c in constraints if c.__class__ is not DisjunctionEq]
+
+
 def solve(
     problem: Problem,
     domains: Optional[DomainSet] = None,
@@ -104,7 +138,7 @@ def solve(
     if ge_mode and partition is None:
         raise ValueError("ge-tree mode requires a value class partition on the problem")
 
-    engine = PropagationEngine(problem.constraints, problem.num_vars)
+    engine = PropagationEngine(_fuse_value_covers(problem.constraints), problem.num_vars)
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
     num_vars = problem.num_vars

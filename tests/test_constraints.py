@@ -17,6 +17,7 @@ from symbreak.constraints import (
     Permutation,
     Precedence,
     StrictLess,
+    ValueCover,
     _narrow,
     _wipe_scope,
 )
@@ -368,6 +369,59 @@ def test_disjunction_matches_support_enumeration():
         assert mine.has_wipeout() == wiped
 
 
+def test_value_cover_is_the_decomposition_fixpoint():
+    # The kernel computes what the engine reaches over its member
+    # disjunctions, not GAC on their conjunction (which would refute the
+    # pigeonhole at the root): the same final masks, wipeout flag, count
+    # and removed pairs, on domains with empty and singleton variables,
+    # with repeated and unreachable values and shuffled member scopes.
+    rng = make_rng(14)
+    outcomes = {"wiped": 0, "pinned": 0, "entailed": 0}
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        dom = random_domains(rng, n, m)
+        for var in range(n):
+            roll = rng.random()
+            if roll < 0.1:
+                dom.masks[var] = 0
+            elif roll < 0.4:
+                dom.assign(var, rng.choice(dom.values(var)))
+        scope = rng.sample(range(n), rng.randint(1, n))
+        values = [m + 1 if rng.random() < 0.05 else rng.randint(1, m)
+                  for _ in range(rng.randint(1, m + 1))]
+        members = [DisjunctionEq(value, rng.sample(scope, len(scope))) for value in values]
+        cover = ValueCover(members)
+
+        want = dom.copy()
+        want_count, want_wiped = PropagationEngine(members, n).run(want)
+        via_engine = dom.copy()
+        assert PropagationEngine([cover], n).run(via_engine) == (want_count, want_wiped)
+        got = dom.copy()
+        removed = cover.propagate(got)
+        assert got == want == via_engine, (members, dom)
+        gone = {(var, value) for var in range(n) for value in range(1, m + 1)
+                if dom.contains(var, value) and not got.contains(var, value)}
+        pairs = list(removed)
+        assert len(removed) == len(pairs) == len(set(pairs)) == want_count, (members, dom)
+        assert set(pairs) == gone, (members, dom)
+        if pairs:
+            in_writes = [(var, value) for var, lost in removed.writes
+                         for value in range(lost.bit_length()) if lost >> value & 1]
+            assert pairs == in_writes, (members, dom)
+            outcomes["wiped" if want_wiped else "pinned"] += 1
+        else:
+            assert removed.__class__ is list, (members, dom)
+        assert cover.propagate(got) == [] and got == want, (members, dom)
+
+        if removed is ENTAILED:
+            outcomes["entailed"] += 1
+            for _ in range(8):
+                sub = random_subdomain(rng, got)
+                before = sub.copy()
+                assert cover.propagate(sub) == [] and sub == before, (members, dom, before)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 # ------------------------------------------------------------------ guarded
 
 def test_conditional_fires_only_when_parity_entailed():
@@ -425,11 +479,12 @@ def test_filters_are_idempotent():
 
 
 def random_subdomain(rng, dom):
-    """A domain inside dom that keeps at least one value of every variable."""
+    """A domain inside dom that keeps at least one value of every non-empty
+    variable."""
     lists = []
     for var in range(len(dom)):
         values = dom.values(var)
-        lists.append(rng.sample(values, rng.randint(1, len(values))))
+        lists.append(rng.sample(values, rng.randint(1, len(values))) if values else [])
     return DomainSet.from_values(lists)
 
 

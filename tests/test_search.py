@@ -12,8 +12,17 @@ from symbreak import (
     pigeonhole_model,
     solve,
 )
+from symbreak import search
 from symbreak.breaking import ValueClassPartition, build_generator_lex, build_precedence
-from symbreak.constraints import DisjunctionEq, LexLeqPermuted, StrictLess
+from symbreak.constraints import (
+    Conditional,
+    DisjunctionEq,
+    LexLeqPermuted,
+    Permutation,
+    Precedence,
+    StrictLess,
+    ValueCover,
+)
 
 from conftest import make_rng, random_domains, random_partition
 
@@ -91,6 +100,70 @@ def test_ge_tree_pigeonhole_calls_few_disjunctions_per_node(monkeypatch):
                          goal="count")
         assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
         assert calls[0] <= 4 * stats.nodes, (order, calls[0], stats.nodes)
+
+
+def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
+    # Every constraint of the pigeonhole shares its scope, so solve fuses
+    # the n+1 disjunctions into one kernel: one call at the root and one per
+    # node, since n variables can never cover all n+1 values.
+    calls = {ValueCover: 0, DisjunctionEq: 0}
+    for kind in calls:
+        def counting_propagate(self, dom, kind=kind, real=kind.propagate):
+            calls[kind] += 1
+            return real(self, dom)
+
+        monkeypatch.setattr(kind, "propagate", counting_propagate)
+    for order in ("lex", "min-domain"):
+        calls.update(dict.fromkeys(calls, 0))
+        _, stats = solve(pigeonhole_model(9), strategy=Strategy(mode="ge-tree", var_order=order),
+                         goal="count")
+        assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
+        assert calls == {ValueCover: stats.nodes + 1, DisjunctionEq: 0}, order
+
+    # One constraint over two of the variables keeps the decomposition, and
+    # so does a conditional over all of them: its filter wipes only its
+    # inner scope, so a wipeout need not empty the shared set.
+    prob = pigeonhole_model(6)
+    for extra in (StrictLess(0, 1), Conditional(0, "odd", DisjunctionEq(1, range(1, 6)))):
+        calls.update(dict.fromkeys(calls, 0))
+        solve(prob.with_constraints([extra]), strategy=Strategy(mode="ge-tree"))
+        assert calls[ValueCover] == 0 and calls[DisjunctionEq] > 0, extra
+
+
+def test_fused_search_matches_the_unfused_engine(monkeypatch):
+    # On problems whose constraints all share one variable set, the fused
+    # kernel must leave every solution and all five counters as they are.
+    def shuffled(rng, scope):
+        return rng.sample(scope, len(scope))
+
+    def random_shared_scope_problem(rng):
+        n, m = rng.randint(2, 6), rng.randint(2, 5)
+        scope = rng.sample(range(n), rng.randint(2, n))
+        cons = [DisjunctionEq(rng.randint(1, m), shuffled(rng, scope))
+                for _ in range(rng.randint(2, len(scope) + 1))]
+        if rng.random() < 0.5:
+            img = list(range(1, m + 1))
+            rng.shuffle(img)
+            cons.append(LexLeqPermuted(Permutation(img), shuffled(rng, scope)))
+        if rng.random() < 0.5:
+            cls = sorted(rng.sample(range(1, m + 1), rng.randint(2, m)))
+            cons.append(Precedence(cls, shuffled(rng, scope)))
+        rng.shuffle(cons)
+        dom = random_domains(rng, n, m) if rng.random() < 0.5 else DomainSet.full(n, m)
+        return Problem(n, m, dom, tuple(cons), random_partition(rng, m))
+
+    rng = make_rng(64)
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        assert any(isinstance(c, ValueCover) for c in search._fuse_value_covers(prob.constraints))
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        fused = solve(prob, strategy=strategy)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_fuse_value_covers", lambda constraints: constraints)
+            unfused = solve(prob, strategy=strategy)
+        assert fused[0] == unfused[0], (prob, strategy)
+        assert fused[1].as_record() == unfused[1].as_record(), (prob, strategy)
 
 
 def test_generator_lex_pigeonhole_calls_few_lex_filters_per_node(monkeypatch):
