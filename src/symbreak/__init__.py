@@ -6,6 +6,7 @@ from .breaking import (
     SymmetrySet,
     ValueClassPartition,
     adjacent_generators,
+    apply_method,
     build_generator_lex,
     build_precedence,
     build_puget,
@@ -22,8 +23,10 @@ from .consistency import (
     ConsistencyWitness,
     SacTimeout,
     brute_force_gac,
+    compare_methods,
     enforce_sac,
     enumerate_solutions,
+    filter_level,
     has_support,
     is_k_consistent,
     is_strongly_k_consistent,

@@ -259,3 +259,24 @@ def build_puget(
         dummy_value=dummy_value,
         generated=tuple(generated),
     )
+
+
+METHODS = ("none", "precedence", "generator-lex", "puget", "ge-tree")
+
+
+def apply_method(problem: Problem, method: str) -> Problem:
+    """The problem with a symmetry-breaking method posted; "ge-tree" posts
+    nothing, as it breaks symmetry during search. Puget's first-use variables
+    come after the problem's own, so `var < problem.num_vars` picks the
+    problem's pairs and `vec[:problem.num_vars]` its solution."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "none" and problem.partition is None:
+        raise ValueError(f"method {method!r} requires 'classes' in the problem")
+    if method == "precedence":
+        return problem.with_constraints(build_precedence(problem))
+    if method == "generator-lex":
+        return problem.with_constraints(build_generator_lex(problem))
+    if method == "puget":
+        return build_puget(problem).problem
+    return problem

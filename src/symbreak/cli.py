@@ -25,18 +25,18 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
 
-from .breaking import ClassCanonical, build_generator_lex, build_precedence, build_puget
+from .breaking import METHODS, apply_method
 from .consistency import (
     DEFAULT_BUDGET,
+    LEVELS,
     BudgetExceeded,
     SacTimeout,
-    brute_force_gac,
-    enforce_sac,
+    compare_methods,
+    filter_level,
     is_k_consistent,
 )
-from .engine import Problem, propagate_fixpoint
+from .engine import Problem
 from .instances import (
     brute_force_sat,
     chained_pairs_family,
@@ -47,7 +47,7 @@ from .instances import (
     staircase_fixture,
     surjection_fixture,
 )
-from .problem_io import ProblemFormatError, dumps, load_problem, problem_to_dict, save_problem
+from .problem_io import dumps, load_problem, problem_to_dict, save_problem
 from .search import SearchTimeout, Strategy, solve
 
 EXIT_OK = 0
@@ -56,8 +56,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_TIMEOUT = 4
 EXIT_UNSAT = 10
-
-METHODS = ("none", "precedence", "generator-lex", "puget", "ge-tree")
 
 
 def _fail(message: str, code: int) -> int:
@@ -121,31 +119,10 @@ def _resolve_problem(spec: str) -> Problem:
     return load_problem(spec)
 
 
-def _apply_method(problem: Problem, method: str):
-    """The problem to run, plus the encoding when the method introduces
-    first-use variables."""
-    if method != "none" and problem.partition is None:
-        raise ProblemFormatError(f"method {method!r} requires 'classes' in the problem")
-    if method in ("none", "ge-tree"):
-        return problem, None
-    if method == "precedence":
-        return problem.with_constraints(build_precedence(problem)), None
-    if method == "generator-lex":
-        return problem.with_constraints(build_generator_lex(problem)), None
-    if method == "puget":
-        encoding = build_puget(problem)
-        return encoding.problem, encoding
-    raise ProblemFormatError(f"unknown method {method!r}")
-
-
-def _pair_list(pairs) -> list[list[int]]:
-    return [[var, value] for var, value in sorted(pairs)]
-
-
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     problem = _resolve_problem(args.problem)
-    run_problem, encoding = _apply_method(problem, args.method)
+    run_problem = apply_method(problem, args.method)
     strategy = Strategy(
         var_order=args.var_order,
         mode="ge-tree" if args.method == "ge-tree" else "static",
@@ -154,8 +131,6 @@ def cmd_solve(args) -> int:
         solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=_deadline(args))
     except SearchTimeout:
         return _fail("search timed out", EXIT_TIMEOUT)
-    if encoding is not None:
-        solutions = [encoding.project(vec) for vec in solutions]
     doc = {
         "format": 1,
         "command": "solve",
@@ -166,7 +141,7 @@ def cmd_solve(args) -> int:
         "stats": stats.as_record(),
     }
     if args.goal != "count":
-        doc["solutions"] = [list(vec) for vec in solutions]
+        doc["solutions"] = [list(vec[: problem.num_vars]) for vec in solutions]
     _emit_json(doc)
     _emit_table(
         ["nodes", "branches", "backtracks", "prunings", "solutions"],
@@ -176,110 +151,37 @@ def cmd_solve(args) -> int:
     return EXIT_OK if stats.solutions > 0 else EXIT_UNSAT
 
 
-def _oracle_gac(problem: Problem, budget: int):
-    """Brute-force GAC on the problem's constraints plus, when it has
-    classes, class canonicity."""
-    constraints = list(problem.constraints)
-    if problem.partition is not None:
-        constraints.append(ClassCanonical(problem.partition, range(problem.num_vars)))
-    return brute_force_gac(constraints, problem.domains, budget=budget)
-
-
-def _filter(problem: Problem, method: str, level: str, args):
-    """The outcome of one filtering level on the problem under a method (which
-    oracle-gac ignores), plus the encoding as _apply_method gives it."""
-    if level == "oracle-gac":
-        return _oracle_gac(problem, args.budget), None
-    run_problem, encoding = _apply_method(problem, method)
-    if level == "sac":
-        return enforce_sac(run_problem, deadline=_deadline(args)), encoding
-    if level == "ac" and any(len(c.scope) > 2 for c in run_problem.constraints):
-        raise ValueError("level 'ac' needs binary constraints; use 'gac'")
-    return propagate_fixpoint(run_problem), encoding
-
-
-def _x_pairs(prunings, encoding) -> set[tuple[int, int]]:
-    """The pruned pairs of the original variables."""
-    pairs = {(p.var, p.value) for p in prunings}
-    return encoding.x_pairs(pairs) if encoding is not None else pairs
-
-
 def cmd_propagate(args) -> int:
     started = time.perf_counter()
     problem = _resolve_problem(args.problem)
-    outcome, encoding = _filter(problem, args.method, args.level, args)
-    pairs = _x_pairs(outcome.prunings, encoding)
-    causes = {(p.var, p.value): p.cause for p in outcome.prunings}
+    outcome = filter_level(problem, args.method, args.level, args.budget, _deadline(args))
+    causes = {(p.var, p.value): p.cause for p in outcome.prunings if p.var < problem.num_vars}
     doc = {
         "format": 1,
         "command": "propagate",
         "level": args.level,
         "method": "oracle" if args.level == "oracle-gac" else args.method,
         "wipeout": outcome.wipeout,
-        "prunings": _pair_list(pairs),
+        "prunings": [list(pair) for pair in sorted(causes)],
     }
     _emit_json(doc)
     rows = []
-    for var, value in sorted(pairs):
-        cause = causes[(var, value)]
-        label = cause if isinstance(cause, str) else cause.describe()
-        rows.append([f"X{var}", value, label])
+    for (var, value), cause in sorted(causes.items()):
+        rows.append([f"X{var}", value, cause])  # a constraint prints as its description
     _emit_table(["var", "value", "cause"], rows)
     _emit_timing(started)
     return EXIT_UNSAT if outcome.wipeout else EXIT_OK
 
 
-# Pruning-strength relations checked by cmd_compare: each left method never
-# removes a pair the right one keeps, wipeouts compared by flag.
-_COMPARE_RELATIONS = [
-    ("generator-lex", "puget-ac"),
-    ("puget-ac", "puget-sac"),
-    ("puget-sac", "oracle"),
-    ("generator-lex", "precedence"),
-    ("precedence", "oracle"),
-]
-
-
 def cmd_compare(args) -> int:
     started = time.perf_counter()
-    problem = _resolve_problem(args.problem)
-    if problem.partition is None:
-        return _fail("compare requires 'classes' in the problem", EXIT_USAGE)
-    base = replace(problem, constraints=())
-
-    results = {}
-    # SAC runs before the oracle, so a SAC timeout is reported before the
-    # oracle's budget is checked.
-    for name, method, level in (("generator-lex", "generator-lex", "gac"), ("precedence", "precedence", "gac"),
-                                ("puget-sac", "puget", "sac"), ("oracle", "none", "oracle-gac")):
-        outcome, encoding = _filter(base, method, level, args)
-        log, wipeout = outcome.prunings, outcome.wipeout
-        if level == "sac":
-            # SAC's log opens with AC's, up to its first probe removal (see
-            # enforce_sac): read puget-ac off it.
-            ac = next((i for i, p in enumerate(log) if p.cause == "sac-probe"), len(log))
-            results["puget-ac"] = (_x_pairs(log[:ac], encoding), wipeout and ac == len(log))
-        results[name] = (_x_pairs(log, encoding), wipeout)
-
-    relations = []
-    violations = 0
-    for weaker, stronger in _COMPARE_RELATIONS:
-        weak_pairs, weak_wipe = results[weaker]
-        strong_pairs, strong_wipe = results[stronger]
-        if weak_wipe:
-            holds = strong_wipe
-        elif strong_wipe:
-            holds = True  # the stronger method refutes outright
-        else:
-            holds = weak_pairs <= strong_pairs
-        violations += 0 if holds else 1
-        relations.append({"weaker": weaker, "stronger": stronger, "holds": holds})
-
+    results, relations = compare_methods(_resolve_problem(args.problem), args.budget, _deadline(args))
+    violations = sum(not r["holds"] for r in relations)
     doc = {
         "format": 1,
         "command": "compare",
         "methods": {
-            name: {"wipeout": wipe, "prunings": _pair_list(pairs)}
+            name: {"wipeout": wipe, "prunings": [list(pair) for pair in sorted(pairs)]}
             for name, (pairs, wipe) in results.items()
         },
         "relations": relations,
@@ -306,7 +208,7 @@ def cmd_bench_getree(args) -> int:
     previous = None
     for n in range(args.n_min, args.n_max + 1):
         problem = pigeonhole_model(n)
-        static_problem, _ = _apply_method(problem, "precedence")
+        static_problem = apply_method(problem, "precedence")
         deadline = _deadline(args)
         try:
             _, static = solve(static_problem, goal="count", deadline=deadline)
@@ -412,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="run one filtering level and report prunings")
     p.add_argument("problem")
-    p.add_argument("--level", choices=("ac", "gac", "sac", "oracle-gac"), default="gac")
-    p.add_argument("--method", choices=("none", "precedence", "generator-lex", "puget"), default="none")
+    p.add_argument("--level", choices=LEVELS, default="gac")
+    p.add_argument("--method", choices=[m for m in METHODS if m != "ge-tree"], default="none")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, help="seconds for the SAC run")
     p.set_defaults(func=cmd_propagate)

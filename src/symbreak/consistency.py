@@ -1,4 +1,4 @@
-"""Ground-truth oracles and higher consistency levels.
+"""Ground-truth oracles, higher consistency levels, and filtering levels by name.
 
 Everything here works by enumeration against explicit budgets: exact solution
 listing, brute-force support filtering, singleton arc consistency, and the
@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from .breaking import METHODS, ClassCanonical, apply_method
 from .constraints import BinaryConstraint
-from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning, bits_of
+from .engine import DomainSet, Problem, PropagationEngine, PropagationOutcome, Pruning, bits_of, propagate_fixpoint
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -268,6 +269,78 @@ def enforce_sac(
                 if wipeout:
                     return PropagationOutcome(log, True, dom)
     return PropagationOutcome(log, False, dom)
+
+
+LEVELS = ("ac", "gac", "sac", "oracle-gac")
+
+
+def filter_level(problem: Problem, method: str, level: str, budget: int = DEFAULT_BUDGET,
+                 deadline: Optional[float] = None) -> PropagationOutcome:
+    """One filtering level on the problem with a method posted (see
+    breaking.apply_method). "ac" takes binary constraints only; "oracle-gac"
+    ignores the method and adds class canonicity to the constraints."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if level == "oracle-gac":
+        constraints = list(problem.constraints)
+        if problem.partition is not None:
+            constraints.append(ClassCanonical(problem.partition, range(problem.num_vars)))
+        return brute_force_gac(constraints, problem.domains, budget=budget)
+    run_problem = apply_method(problem, method)
+    if level == "sac":
+        return enforce_sac(run_problem, deadline=deadline)
+    if level == "ac" and any(len(c.scope) > 2 for c in run_problem.constraints):
+        raise ValueError("level 'ac' needs binary constraints; use 'gac'")
+    return propagate_fixpoint(run_problem)
+
+
+_COMPARE_RELATIONS = [
+    ("generator-lex", "puget-ac"),
+    ("puget-ac", "puget-sac"),
+    ("puget-sac", "oracle"),
+    ("generator-lex", "precedence"),
+    ("precedence", "oracle"),
+]
+
+
+def compare_methods(problem: Problem, budget: int = DEFAULT_BUDGET, deadline: Optional[float] = None):
+    """Filter the problem's domains under its classes, without its
+    constraints, with each static method and the oracle. Returns (results,
+    relations): results maps each method to (pruned pairs of the problem's
+    variables, wipeout); relations holds a {"weaker", "stronger", "holds"}
+    dict per pruning-strength relation: the weaker never removes a pair the
+    stronger keeps, wipeouts compared by flag."""
+    if problem.partition is None:
+        raise ValueError("compare requires 'classes' in the problem")
+    base = replace(problem, constraints=())
+    n = problem.num_vars
+    results = {}
+    # SAC runs before the oracle: a timeout is reported before the budget is checked.
+    for name, method, level in (("generator-lex", "generator-lex", "gac"), ("precedence", "precedence", "gac"),
+                                ("puget-sac", "puget", "sac"), ("oracle", "none", "oracle-gac")):
+        outcome = filter_level(base, method, level, budget, deadline)
+        log, wipeout = outcome.prunings, outcome.wipeout
+        if level == "sac":
+            # SAC's log opens with AC's, up to its first probe removal (see
+            # enforce_sac), which may be on a first-use variable: split it first.
+            ac = next((i for i, p in enumerate(log) if p.cause == "sac-probe"), len(log))
+            results["puget-ac"] = ({(p.var, p.value) for p in log[:ac] if p.var < n}, wipeout and ac == len(log))
+        results[name] = ({(p.var, p.value) for p in log if p.var < n}, wipeout)
+
+    relations = []
+    for weaker, stronger in _COMPARE_RELATIONS:
+        weak_pairs, weak_wipe = results[weaker]
+        strong_pairs, strong_wipe = results[stronger]
+        if weak_wipe:
+            holds = strong_wipe
+        elif strong_wipe:
+            holds = True  # the stronger method refutes outright
+        else:
+            holds = weak_pairs <= strong_pairs
+        relations.append({"weaker": weaker, "stronger": stronger, "holds": holds})
+    return results, relations
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,9 @@ from symbreak.breaking import (
     ClassCanonical,
     SymmetrySet,
     ValueClassPartition,
+    METHODS,
     adjacent_generators,
+    apply_method,
     apply_permutation,
     build_generator_lex,
     build_precedence,
@@ -20,7 +23,7 @@ from symbreak.breaking import (
     valsymbreak_holds,
 )
 from symbreak.constraints import Permutation
-from symbreak.instances import staircase_fixture, surjection_fixture
+from symbreak.instances import pigeonhole_model, staircase_fixture, surjection_fixture
 
 from conftest import make_rng, random_binary_constraint, random_domains, random_partition
 
@@ -262,3 +265,26 @@ PUGET_LOG_DIGEST = "247898e19ea9dbdc1fefcbe13ab6384196cee6bd1e0234e474111e1fa562
 
 def test_puget_logs_keep_their_digest():
     assert puget_log_digest(range(150)) == PUGET_LOG_DIGEST
+
+
+def test_apply_method_keeps_the_problem_first():
+    # The problem's variables, domains and constraints stay first, so
+    # var < num_vars picks the problem's pairs; only puget adds variables.
+    for problem in (staircase_fixture()[0], surjection_fixture()[0], pigeonhole_model(4)):
+        n = problem.num_vars
+        for method in METHODS:
+            run = apply_method(problem, method)
+            assert run.domains.masks[:n] == problem.domains.masks, method
+            assert run.constraints[: len(problem.constraints)] == problem.constraints, method
+            assert (run.num_vars > n) == (method == "puget"), method
+
+
+def test_apply_method_rejects_an_unknown_method_and_a_problem_without_classes():
+    problem = staircase_fixture()[0]
+    with pytest.raises(ValueError, match="unknown method 'lex'"):
+        apply_method(problem, "lex")
+    bare = replace(problem, partition=None)
+    assert apply_method(bare, "none") is bare
+    for method in METHODS[1:]:
+        with pytest.raises(ValueError, match=f"method '{method}' requires 'classes' in the problem"):
+            apply_method(bare, method)

@@ -10,9 +10,11 @@ import pytest
 
 import symbreak
 from symbreak import DomainSet, Problem, cli
-from symbreak.breaking import ValueClassPartition
+from symbreak.breaking import METHODS, ValueClassPartition, build_generator_lex, build_precedence, build_puget
 from symbreak.cli import EXIT_TIMEOUT, main
-from symbreak.problem_io import save_problem
+from symbreak.consistency import LEVELS, compare_methods, filter_level
+from symbreak.instances import chained_pairs_family, parse_dimacs, pigeonhole_model, reduce_3sat, staircase_fixture
+from symbreak.problem_io import problem_to_dict, save_problem
 from symbreak import surjection_fixture
 
 
@@ -375,6 +377,25 @@ def test_compare_entries_match_propagate(capsys, tmp_path):
                 assert methods[name] == {"wipeout": doc["wipeout"], "prunings": doc["prunings"]}, (path, name)
             ac_wipeouts += methods["puget-ac"]["wipeout"]
             sac_gains += methods["puget-sac"]["prunings"] != methods["puget-ac"]["prunings"]
+    assert ac_wipeouts and sac_gains
+
+
+def test_compare_methods_holds_every_relation_in_process():
+    # compare's relations through the library alone, on 150 narrow and 150
+    # wide cases. puget-ac, read off SAC's log, is what AC alone prunes.
+    ac_wipeouts = sac_gains = 0
+    for seed in range(2000, 2150):
+        rng = random.Random(seed)
+        for wide in (False, True):
+            problem = compare_case(rng, wide)
+            results, relations = compare_methods(problem)
+            assert sorted(results) == sorted(COMPARE_AS_PROPAGATE)
+            assert len(relations) == 5 and all(r["holds"] for r in relations), (seed, wide, relations)
+            ac = filter_level(problem, "puget", "ac")  # compare cases have no constraints
+            ac_pairs = {(p.var, p.value) for p in ac.prunings if p.var < problem.num_vars}
+            assert results["puget-ac"] == (ac_pairs, ac.wipeout), (seed, wide)
+            ac_wipeouts += ac.wipeout
+            sac_gains += results["puget-sac"][0] != ac_pairs
     assert ac_wipeouts and sac_gains
 
 
@@ -792,3 +813,80 @@ def test_console_entry_point():
     assert proc.returncode == 10
     assert '"command": "solve"' in proc.stdout
     assert "wall time" in proc.stderr
+
+
+def mutation_bases():
+    """Valid problem documents: compare cases of both shapes and the named
+    instances, which between them hold every constraint kind."""
+    rng = random.Random(5)
+    problems = [compare_case(rng, wide) for wide in (False, True) for _ in range(3)]
+    staircase = staircase_fixture()[0]
+    problems += [
+        staircase.with_constraints(build_precedence(staircase)),
+        staircase.with_constraints(build_generator_lex(staircase)),
+        surjection_fixture()[0],
+        build_puget(surjection_fixture()[0]).problem,
+        pigeonhole_model(4),
+        chained_pairs_family(2),
+        reduce_3sat(parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n"))[0],
+    ]
+    docs = [problem_to_dict(p) for p in problems]
+    docs[0]["constraints"] = [{"type": "at_least_n_values", "prefix_length": 3, "distinct_count": 2}]
+    return docs
+
+
+ODD_LEAVES = (-1, 0, 1, 64, 1.5, "2", None, True, [], {}, [[]])
+
+
+def mutated_text(rng, doc):
+    """The document's JSON after one random edit: a leaf replaced by a
+    nearby or out-of-range number or a value of another type, a key or list
+    item dropped, or a character of the text cut or changed."""
+    text = json.dumps(doc)
+    edit = rng.randrange(4)
+    if edit == 3:
+        i = rng.randrange(len(text))
+        return text[:i] if rng.random() < 0.3 else text[:i] + rng.choice('[]{},:"-019x ') + text[i + 1 :]
+    doc = json.loads(text)
+    node = doc
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.7:
+            node = child
+            continue
+        if edit == 0 and isinstance(child, int) and not isinstance(child, bool):
+            node[key] = child + rng.choice((-2, -1, 1, 2, 60))
+        elif edit <= 1:
+            node[key] = rng.choice(ODD_LEAVES)
+        else:
+            del node[key]
+        return json.dumps(doc)
+
+
+def test_mutated_problem_files_end_in_a_documented_exit_code(capsys, tmp_path):
+    # 200 seeded mutations of valid files through solve, propagate at every
+    # level and compare, with a small budget and timeout: each run returns
+    # an exit code cli documents, and each error is one stderr line.
+    rng = random.Random(21)
+    bases = mutation_bases()
+    propagate_methods = [m for m in METHODS if m != "ge-tree"]
+    codes = {}
+    for i in range(200):
+        path = tmp_path / f"mutant{i}.json"
+        text = mutated_text(rng, rng.choice(bases))
+        if rng.random() < 0.05:
+            text = json.dumps(rng.choice(bases))  # some runs see a valid file
+        path.write_text(text)
+        limits = ["--budget", "5000", "--timeout", "0.05"]
+        method = propagate_methods[i % len(propagate_methods)]
+        runs = [["solve", str(path), "--method", METHODS[i % len(METHODS)], "--goal", "first", "--timeout", "0.05"]]
+        runs += [["propagate", str(path), "--level", level, "--method", method, *limits] for level in LEVELS]
+        runs.append(["compare", str(path), *limits])
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 2, 3, 4, 10), (argv, text, err)  # 1 would be a compare violation
+            if code in (2, 3, 4):
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(2) and codes.get(10) and codes.get(3), codes

@@ -16,6 +16,7 @@ from symbreak import (
     brute_force_gac,
     enforce_sac,
     enumerate_solutions,
+    filter_level,
     has_support,
     is_k_consistent,
     is_strongly_k_consistent,
@@ -34,6 +35,7 @@ from symbreak.constraints import (
     Precedence,
     StrictLess,
 )
+from symbreak.consistency import LEVELS
 from symbreak.instances import staircase_fixture, surjection_fixture
 
 from conftest import (
@@ -667,3 +669,13 @@ def test_k_consistency_reads_two_variable_constraints_of_any_kind():
         if first_failing is not None:
             assert strong.witness.level == first_failing
     assert 500 < failing < 2500, failing
+
+
+def test_filter_level_rejects_an_unknown_level_or_method():
+    problem = staircase_fixture()[0]
+    with pytest.raises(ValueError, match="unknown level 'pc'"):
+        filter_level(problem, "none", "pc")
+    for level in LEVELS:
+        with pytest.raises(ValueError, match="unknown method 'lex'"):
+            filter_level(problem, "lex", level)
+        assert not filter_level(problem, "puget", level).wipeout  # staircase has solutions

@@ -1,9 +1,13 @@
 """Static checks on the library source (the project installs no linter)."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from symbreak import constraints
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symbreak"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -32,3 +36,20 @@ def test_unused_import_check_finds_a_leftover():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_library_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_traced_names_resolve_in_the_library():
+    # perfbench/tracing.py wraps these names by lookup: one that moved would
+    # go untraced and read 0 in the benchmark's counters instead of failing.
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attribute, _ in tracing.SPANS:
+        owner = importlib.import_module(f"symbreak.{module_name}")
+        for name in attribute.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), (module_name, attribute)
+    for class_name in tracing.KINDS:
+        cls = getattr(constraints, class_name, None)
+        assert isinstance(cls, type) and issubclass(cls, constraints.Constraint), class_name
