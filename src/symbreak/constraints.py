@@ -797,6 +797,51 @@ class ValueCover(Constraint):
                         return _wipe_scope(masks, scope, removed)
                     removed = _narrow(masks, var, hit, removed)
 
+    def doomed(self, masks: list[int], var: int) -> tuple[int, int]:
+        """The values b of var whose child, masks with var set to {b}, the
+        first round of `propagate` wipes out, as a submask of masks[var];
+        and the count that call removes, which is every value the child's
+        scope holds: the other scope variables' bits plus 1. (0, 0) when var
+        is not in the scope.
+
+        Take seen and twice over the scope without var. On the child, b is
+        covered and every other value keeps its candidates, so the round
+        wipes iff a needed value other than b has no candidate, or some
+        other variable is the only candidate of two needed values that are
+        not b (call such values lone). That variable holds two values, so no
+        singleton covers them: covered drops out. A lone value has one
+        holder, so one b can spare at most one variable from holding two:
+        one missing value or one variable with exactly two lone values
+        leaves only those values undoomed, and anything more dooms all.
+        """
+        if var not in self.scope:
+            return 0, 0
+        seen = twice = 0
+        count = 1
+        for v in self.scope:
+            if v != var:
+                m = masks[v]
+                twice |= seen & m
+                seen |= m
+                count += m.bit_count()
+        mask = masks[var]
+        needed = self.needed
+        missing = needed & ~seen
+        if missing & (missing - 1):
+            return mask, count
+        spare = missing or -1
+        lone = needed & seen & ~twice
+        if lone & (lone - 1):
+            pair = 0
+            for v in self.scope:
+                held = masks[v] & lone
+                if held & (held - 1) and v != var:
+                    if pair or held.bit_count() > 2:
+                        return mask, count
+                    pair = held
+            spare &= pair or -1
+        return mask & ~spare, count
+
     def describe(self) -> str:
         return f"value_cover(values={','.join(str(c.value) for c in self.members)})"
 

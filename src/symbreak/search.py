@@ -21,12 +21,36 @@ where that constraint removes nothing.
 exception: when every constraint's scope is one variable set and at least
 two are `DisjunctionEq`, as in the pigeonhole family with or without
 precedence or generator-lex, its engine runs those disjunctions as one
-`ValueCover` kernel (see `_fuse_value_covers`). On ge-tree `pigeonhole:10`
-that is one call per node in place of 3.2 disjunction calls. The kernel
-reaches the same fixpoint, so every node, branch and pruning is what it
-would be without it. The leaf check still reads `problem.constraints`, and
-every other caller of the engine, logged runs included, keeps the
-decomposition.
+`ValueCover` kernel (see `_fuse_value_covers`). The kernel reaches the same
+fixpoint, so every node, branch and pruning is what it would be without
+it. The leaf check still reads `problem.constraints`, and every other
+caller of the engine, logged runs included, keeps the decomposition.
+
+Most of those nodes are dead ends that the kernel's first round wipes out,
+and `solve` settles them without an engine run. When the engine's
+constraint 0 is a `ValueCover` whose flag at the node is clear and var is
+in its scope, pushing var's frame asks `ValueCover.doomed` once which
+values of var would wipe out, and with what count. A doomed child costs no
+domain copy, no flags copy and no engine run, yet counts as the node, the
+branch, the backtrack and the prunings that the run would have given, and
+`node_hook` still sees every node, in order. The counters are exact:
+
+- the engine builds `watchers` in constraint order, so `watchers[var]`
+  lists the kernel first, and a run with `changed=(var,)` pops it first
+  unless its flag is set;
+- the engine stops at the first wipeout;
+- a first-round wipe empties the whole scope, after whatever that round
+  narrowed, so the call removes every value the child's scope held, and
+  the run returns `(that count, True)`;
+- a doomed child holds no solution, so the solutions, `goal="first"` and
+  the order of `node_hook` calls do not move.
+
+A set flag means every needed value is some variable's singleton, where
+nothing is doomed, so that check only saves the scan. On ge-tree
+`pigeonhole:10` the lookahead settles 21,147 of 26,442 nodes, so the
+kernel runs 5,296 times in place of 26,443, and a node costs about 1.6 µs
+in place of 4.6 in lex order (1.8 in place of 4.9 under min-domain; best
+of 3 runs, 2-core VM, Python 3.11.7).
 
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
@@ -139,6 +163,8 @@ def solve(
         raise ValueError("ge-tree mode requires a value class partition on the problem")
 
     engine = PropagationEngine(_fuse_value_covers(problem.constraints), problem.num_vars)
+    cons = engine.constraints
+    cover = cons[0] if cons and cons[0].__class__ is ValueCover else None
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
     num_vars = problem.num_vars
@@ -152,10 +178,11 @@ def solve(
         return solutions, stats
 
     # One frame per variable on the current path: (var, its domain before
-    # branching, its entailment flags, the candidates not yet tried). dom and
-    # flags are the node being entered, the root or a child that propagation
-    # did not wipe out.
-    stack: list[tuple[int, DomainSet, list[bool], Iterator[int]]] = []
+    # branching, its entailment flags, the candidates not yet tried, the
+    # kernel's doomed mask and wipeout count for var). dom and flags are the
+    # node being entered, the root or a child that propagation did not wipe
+    # out.
+    stack: list[tuple[int, DomainSet, list[bool], Iterator[int], int, int]] = []
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             raise SearchTimeout(stats)
@@ -180,22 +207,28 @@ def solve(
         else:
             cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
             if cands:
-                stack.append((var, dom, flags, iter(cands)))
+                doomed = wipe_count = 0
+                if cover is not None and not flags[0]:
+                    doomed, wipe_count = cover.doomed(dom.masks, var)
+                stack.append((var, dom, flags, iter(cands), doomed, wipe_count))
             else:
                 stats.branches += 1
                 stats.backtracks += 1
         while stack:  # advance to the next child that survives propagation
-            var, parent, parent_flags, untried = stack[-1]
+            var, parent, parent_flags, untried, doomed, wipe_count = stack[-1]
             value = next(untried, None)
             if value is None:
                 stack.pop()
                 del partial[var]
                 continue
             stats.nodes += 1
-            child = parent.copy()
-            child.assign(var, value)
-            child_flags = parent_flags[:]
-            pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
+            if doomed >> value & 1:
+                pruned, wiped = wipe_count, True  # engine.run's return; see the module docstring
+            else:
+                child = parent.copy()
+                child.assign(var, value)
+                child_flags = parent_flags[:]
+                pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
             stats.prunings += pruned
             partial[var] = value
             if node_hook is not None:

@@ -422,6 +422,63 @@ def test_value_cover_is_the_decomposition_fixpoint():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def first_round_wipes(cover, masks):
+    """The two ways the kernel's first round empties its scope, stated on
+    the child's masks by listing each needed value's candidates."""
+    holders = {value: [v for v in cover.scope if masks[v] >> value & 1]
+               for value in {c.value for c in cover.members}}
+    if any(not hs for hs in holders.values()):
+        return True  # a needed value has no candidate
+    lone = [hs[0] for value, hs in holders.items()
+            if len(hs) == 1 and not any(masks[v] == 1 << value for v in cover.scope)]
+    return len(lone) != len(set(lone))  # one variable is the only candidate of two
+
+
+def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
+    # doomed(masks, var) answers for every value b of var at once: b is in
+    # the mask iff the first round on var = {b} wipes the scope, and then
+    # propagate removes every value the child's scope holds.
+    rng = make_rng(24)
+    outcomes = {"doomed": 0, "spared": 0, "outside": 0}
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        dom = random_domains(rng, n, m)
+        for var in range(n):
+            roll = rng.random()
+            if roll < 0.1:
+                dom.masks[var] = 0
+            elif roll < 0.4:
+                dom.assign(var, rng.choice(dom.values(var)))
+        scope = rng.sample(range(n), rng.randint(1, n))
+        values = [m + 1 if rng.random() < 0.05 else rng.randint(1, m)
+                  for _ in range(rng.randint(1, m + 1))]
+        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                            for value in values])
+        for var in range(n):
+            before = dom.copy()
+            doomed, count = cover.doomed(dom.masks, var)
+            assert dom == before
+            if var not in scope:
+                assert (doomed, count) == (0, 0)
+                outcomes["outside"] += 1
+                continue
+            assert doomed & ~dom.masks[var] == 0, (cover, dom, var)
+            for b in dom.values(var):
+                child = dom.copy()
+                child.assign(var, b)
+                wiped = first_round_wipes(cover, child.masks)
+                assert bool(doomed >> b & 1) == wiped, (cover, dom, var, b)
+                if wiped:
+                    held = sum(child.size(v) for v in scope)
+                    removed = cover.propagate(child)
+                    assert len(removed) == count == held, (cover, dom, var, b)
+                    assert all(child.is_empty(v) for v in scope), (cover, dom, var, b)
+                    outcomes["doomed"] += 1
+                else:
+                    outcomes["spared"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 # ------------------------------------------------------------------ guarded
 
 def test_conditional_fires_only_when_parity_entailed():

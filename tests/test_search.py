@@ -104,21 +104,31 @@ def test_ge_tree_pigeonhole_calls_few_disjunctions_per_node(monkeypatch):
 
 def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
     # Every constraint of the pigeonhole shares its scope, so solve fuses
-    # the n+1 disjunctions into one kernel: one call at the root and one per
-    # node, since n variables can never cover all n+1 values.
-    calls = {ValueCover: 0, DisjunctionEq: 0}
-    for kind in calls:
+    # the n+1 disjunctions into one kernel, which n variables can never
+    # entail. Each pushed frame asks the kernel's lookahead once, and every
+    # wipeout here is one it foresees: the kernel runs at the root and at
+    # each child that survives, and never at a branch's dead end.
+    calls = {ValueCover: 0, DisjunctionEq: 0, "doomed": 0}
+    for kind in (ValueCover, DisjunctionEq):
         def counting_propagate(self, dom, kind=kind, real=kind.propagate):
             calls[kind] += 1
             return real(self, dom)
 
         monkeypatch.setattr(kind, "propagate", counting_propagate)
+
+    def counting_doomed(self, masks, var, real=ValueCover.doomed):
+        calls["doomed"] += 1
+        return real(self, masks, var)
+
+    monkeypatch.setattr(ValueCover, "doomed", counting_doomed)
     for order in ("lex", "min-domain"):
         calls.update(dict.fromkeys(calls, 0))
         _, stats = solve(pigeonhole_model(9), strategy=Strategy(mode="ge-tree", var_order=order),
                          goal="count")
         assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
-        assert calls == {ValueCover: stats.nodes + 1, DisjunctionEq: 0}, order
+        frames = stats.nodes - stats.branches + 1
+        assert frames == 1156, order
+        assert calls == {ValueCover: frames, DisjunctionEq: 0, "doomed": frames}, order
 
     # One constraint over two of the variables keeps the decomposition, and
     # so does a conditional over all of them: its filter wipes only its
@@ -130,28 +140,31 @@ def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
         assert calls[ValueCover] == 0 and calls[DisjunctionEq] > 0, extra
 
 
+def random_shared_scope_problem(rng):
+    """Two or more disjunctions, and perhaps a lex and a precedence
+    constraint, all over one shuffled variable set: the shape solve fuses."""
+    def shuffled(scope):
+        return rng.sample(scope, len(scope))
+
+    n, m = rng.randint(2, 6), rng.randint(2, 5)
+    scope = rng.sample(range(n), rng.randint(2, n))
+    cons = [DisjunctionEq(rng.randint(1, m), shuffled(scope))
+            for _ in range(rng.randint(2, len(scope) + 1))]
+    if rng.random() < 0.5:
+        img = list(range(1, m + 1))
+        rng.shuffle(img)
+        cons.append(LexLeqPermuted(Permutation(img), shuffled(scope)))
+    if rng.random() < 0.5:
+        cls = sorted(rng.sample(range(1, m + 1), rng.randint(2, m)))
+        cons.append(Precedence(cls, shuffled(scope)))
+    rng.shuffle(cons)
+    dom = random_domains(rng, n, m) if rng.random() < 0.5 else DomainSet.full(n, m)
+    return Problem(n, m, dom, tuple(cons), random_partition(rng, m))
+
+
 def test_fused_search_matches_the_unfused_engine(monkeypatch):
     # On problems whose constraints all share one variable set, the fused
     # kernel must leave every solution and all five counters as they are.
-    def shuffled(rng, scope):
-        return rng.sample(scope, len(scope))
-
-    def random_shared_scope_problem(rng):
-        n, m = rng.randint(2, 6), rng.randint(2, 5)
-        scope = rng.sample(range(n), rng.randint(2, n))
-        cons = [DisjunctionEq(rng.randint(1, m), shuffled(rng, scope))
-                for _ in range(rng.randint(2, len(scope) + 1))]
-        if rng.random() < 0.5:
-            img = list(range(1, m + 1))
-            rng.shuffle(img)
-            cons.append(LexLeqPermuted(Permutation(img), shuffled(rng, scope)))
-        if rng.random() < 0.5:
-            cls = sorted(rng.sample(range(1, m + 1), rng.randint(2, m)))
-            cons.append(Precedence(cls, shuffled(rng, scope)))
-        rng.shuffle(cons)
-        dom = random_domains(rng, n, m) if rng.random() < 0.5 else DomainSet.full(n, m)
-        return Problem(n, m, dom, tuple(cons), random_partition(rng, m))
-
     rng = make_rng(64)
     for _ in range(300):
         prob = random_shared_scope_problem(rng)
@@ -164,6 +177,39 @@ def test_fused_search_matches_the_unfused_engine(monkeypatch):
             unfused = solve(prob, strategy=strategy)
         assert fused[0] == unfused[0], (prob, strategy)
         assert fused[1].as_record() == unfused[1].as_record(), (prob, strategy)
+
+
+def test_doomed_children_keep_every_node_in_order(monkeypatch):
+    # A child the kernel's lookahead foresees wiping out skips its engine
+    # run, yet counts, prunes and reaches node_hook exactly as when every
+    # child runs the engine.
+    def record(prob, strategy, goal):
+        seen = []
+        solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
+        return solutions, stats.as_record(), seen
+
+    rng = make_rng(64)
+    settled = [0]
+    real_doomed = ValueCover.doomed
+
+    def counting_doomed(self, masks, var):
+        doomed, count = real_doomed(self, masks, var)
+        settled[0] += doomed.bit_count()
+        return doomed, count
+
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        goal = rng.choice(["first", "all", "count"])
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "doomed", counting_doomed)
+            looked_ahead = record(prob, strategy, goal)
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "doomed", lambda self, masks, var: (0, 0))
+            every_child_run = record(prob, strategy, goal)
+        assert looked_ahead == every_child_run, (prob, strategy, goal)
+    assert settled[0] >= 100, settled
 
 
 def test_generator_lex_pigeonhole_calls_few_lex_filters_per_node(monkeypatch):
