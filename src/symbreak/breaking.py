@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .constraints import (
     Constraint,
@@ -138,18 +138,17 @@ def lex_constraints(perms: Sequence[Permutation], order: Sequence[int]) -> list[
     return [LexLeqPermuted(p, order) for p in perms]
 
 
-def build_generator_lex(problem: Problem, partition: Optional[ValueClassPartition] = None) -> list[LexLeqPermuted]:
-    """Lex constraints for the adjacent-transposition generators, over the
-    natural variable order."""
-    part = partition if partition is not None else problem.partition
-    gens = adjacent_generators(part, problem.num_values)
+def build_generator_lex(problem: Problem) -> list[LexLeqPermuted]:
+    """Lex constraints for the adjacent-transposition generators of
+    `problem.partition`, over the natural variable order."""
+    gens = adjacent_generators(problem.partition, problem.num_values)
     return lex_constraints(gens.perms, range(problem.num_vars))
 
 
-def build_precedence(problem: Problem, partition: Optional[ValueClassPartition] = None) -> list[Precedence]:
-    """One precedence constraint per class with at least two values."""
-    part = partition if partition is not None else problem.partition
-    return [Precedence(cls, range(problem.num_vars)) for cls in part.nontrivial_classes()]
+def build_precedence(problem: Problem) -> list[Precedence]:
+    """One precedence constraint per class of `problem.partition` with at
+    least two values."""
+    return [Precedence(cls, range(problem.num_vars)) for cls in problem.partition.nontrivial_classes()]
 
 
 class ClassCanonical(Constraint):
@@ -200,20 +199,14 @@ class PugetEncoding:
     dummy_value: dict  # value -> dummy index, empty when surjection is forced
     generated: tuple[Constraint, ...]
 
-    def project(self, vector: Sequence[int]) -> tuple[int, ...]:
-        return tuple(vector[: self.num_original_vars])
-
     def x_pairs(self, pairs) -> set[tuple[int, int]]:
         """Restrict (var, value) pairs to the original variables."""
         return {(var, val) for var, val in pairs if var < self.num_original_vars}
 
 
-def build_puget(
-    problem: Problem,
-    partition: Optional[ValueClassPartition] = None,
-    force_surjection: bool = False,
-) -> PugetEncoding:
-    part = partition if partition is not None else problem.partition
+def build_puget(problem: Problem, force_surjection: bool = False) -> PugetEncoding:
+    """The dual first-use encoding of problem, with one strict ordering chain
+    per class of `problem.partition` over the first-use variables."""
     n, m = problem.num_vars, problem.num_values
 
     x_masks = list(problem.domains.masks)
@@ -240,7 +233,7 @@ def build_puget(
             z = first_use_var[j]
             generated.append(EqImpliesLeq(pos, j, z, pos + 1))
             generated.append(EqImpliesEq(z, pos + 1, pos, j))
-    for cls in part.nontrivial_classes():
+    for cls in problem.partition.nontrivial_classes():
         for a, b in zip(cls, cls[1:]):
             generated.append(StrictLess(first_use_var[a], first_use_var[b]))
 

@@ -29,6 +29,7 @@ import time
 from .breaking import METHODS, apply_method
 from .consistency import (
     DEFAULT_BUDGET,
+    FILTER_METHODS,
     LEVELS,
     BudgetExceeded,
     SacTimeout,
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="run one filtering level and report prunings")
     p.add_argument("problem")
     p.add_argument("--level", choices=LEVELS, default="gac")
-    p.add_argument("--method", choices=[m for m in METHODS if m != "ge-tree"], default="none")
+    p.add_argument("--method", choices=FILTER_METHODS, default="none")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, help="seconds for the SAC run")
     p.set_defaults(func=cmd_propagate)

@@ -272,6 +272,9 @@ def enforce_sac(
 
 
 LEVELS = ("ac", "gac", "sac", "oracle-gac")
+# The methods a level can filter under: ge-tree breaks symmetry during
+# search and posts nothing.
+FILTER_METHODS = tuple(m for m in METHODS if m != "ge-tree")
 
 
 def filter_level(problem: Problem, method: str, level: str, budget: int = DEFAULT_BUDGET,
@@ -281,8 +284,8 @@ def filter_level(problem: Problem, method: str, level: str, budget: int = DEFAUL
     ignores the method and adds class canonicity to the constraints."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    if method not in FILTER_METHODS:
+        raise ValueError(f"method {method!r} does not filter" if method in METHODS else f"unknown method {method!r}")
     if level == "oracle-gac":
         constraints = list(problem.constraints)
         if problem.partition is not None:

@@ -41,10 +41,10 @@ the fixpoint that found it). Every kind with a filter reports it, each only
 where that is exact, and each from what its own no-op test or sweep already
 reads, without a further pass over its scope:
 
-- `DisjunctionEq`, when a scope variable is exactly {value}: that variable
-  keeps the value on every non-empty subdomain.
-- `ValueCover`, when that holds for every needed value, as it then does
-  for every member.
+- The value-cover kernel (`ValueCover`, and `DisjunctionEq` as a cover
+  with one needed value), when every needed value has a scope variable
+  that is exactly {value}: that variable keeps the value on every
+  non-empty subdomain.
 - `_EqImplies`, inside its no-op test, when `a` lacks the trigger (the
   implication holds vacuously) or every value of `b` is in the target (it
   holds whatever `a` takes): on a non-empty subdomain the no-op test still
@@ -706,42 +706,6 @@ class ParityLink(BinaryConstraint):
         return f"parity_link({self.cond_parity}(X{a}) -> {self.target_parity}(X{b}))"
 
 
-class DisjunctionEq(Constraint):
-    """At least one scope variable takes the given value.
-
-    GAC: with no candidate the constraint has no support and the whole scope
-    wipes; with exactly one candidate that variable is pinned; with two or
-    more, or one already assigned, every value everywhere is supported.
-    """
-
-    def __init__(self, value: int, scope: Sequence[int]):
-        self.value = value
-        self.scope = _distinct_scope(scope)
-
-    def check(self, assignment) -> bool:
-        value = self.value
-        return any(assignment[var] == value for var in self.scope)
-
-    def propagate(self, dom: DomainSet) -> Removed:
-        bit = 1 << self.value
-        masks = dom.masks
-        first = -1
-        for var in self.scope:
-            m = masks[var]
-            if m & bit:
-                if m == bit:
-                    return ENTAILED  # assigned the value: satisfied for good
-                if first >= 0:
-                    return []  # two candidates: nothing to prune
-                first = var
-        if first < 0:
-            return _wipe_scope(masks, self.scope, [])
-        return _narrow(masks, first, bit, [])
-
-    def describe(self) -> str:
-        return f"disjunction_eq(value={self.value})"
-
-
 class ValueCover(Constraint):
     """The conjunction of `DisjunctionEq` members over one variable set: every
     member's value is taken somewhere in the scope.
@@ -756,7 +720,8 @@ class ValueCover(Constraint):
     mask (values with two or more); a value is already covered when some
     variable is exactly {value}. The call is idempotent, since it stops only
     when nothing is left to pin, and it returns `ENTAILED` when every needed
-    value is covered, the case where every member reports it.
+    value is covered. `DisjunctionEq` runs this same kernel with one needed
+    value.
     """
 
     def __init__(self, members: Sequence[DisjunctionEq]):
@@ -844,6 +809,31 @@ class ValueCover(Constraint):
 
     def describe(self) -> str:
         return f"value_cover(values={','.join(str(c.value) for c in self.members)})"
+
+
+class DisjunctionEq(Constraint):
+    """At least one scope variable takes the given value.
+
+    The filter is the `ValueCover` kernel with one needed value, which is
+    GAC for this constraint: with no candidate the constraint has no support
+    and the whole scope wipes; with exactly one candidate that variable is
+    pinned; with two or more, or one already assigned, every value everywhere
+    is supported.
+    """
+
+    def __init__(self, value: int, scope: Sequence[int]):
+        self.value = value
+        self.needed = 1 << value
+        self.scope = _distinct_scope(scope)
+
+    def check(self, assignment) -> bool:
+        value = self.value
+        return any(assignment[var] == value for var in self.scope)
+
+    propagate = ValueCover.propagate
+
+    def describe(self) -> str:
+        return f"disjunction_eq(value={self.value})"
 
 
 class AtLeastNValues(Constraint):

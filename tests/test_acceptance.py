@@ -272,7 +272,7 @@ def test_reduction_support_agreement_with_sat():
     agree = 0
     verdicts = set()
     for f in formulas:
-        prob, part = reduce_3sat(f)
+        prob, _ = reduce_3sat(f)
         switch = prob.num_vars - 1
         odd = 4 * f.num_vars + 1
         dom = prob.domains.copy()
@@ -281,7 +281,7 @@ def test_reduction_support_agreement_with_sat():
         PropagationEngine(binaries, prob.num_vars).run(dom)
         from symbreak import has_support
 
-        support = has_support(build_precedence(prob, part), dom, switch, odd)
+        support = has_support(build_precedence(prob), dom, switch, odd)
         sat = brute_sat(f)
         verdicts.add(sat)
         agree += support == sat
@@ -374,7 +374,7 @@ def test_every_static_and_dynamic_method_agrees_on_solutions():
         via_generators = enumerate_solutions(prob.with_constraints(build_generator_lex(prob)))
         encoding = build_puget(prob)
         via_encoding = sorted(
-            encoding.project(v) for v in enumerate_solutions(encoding.problem, budget=10**8)
+            v[:prob.num_vars] for v in enumerate_solutions(encoding.problem, budget=10**8)
         )
         via_search, _ = solve(prob, strategy=Strategy(mode="ge-tree"))
 

@@ -679,3 +679,11 @@ def test_filter_level_rejects_an_unknown_level_or_method():
         with pytest.raises(ValueError, match="unknown method 'lex'"):
             filter_level(problem, "lex", level)
         assert not filter_level(problem, "puget", level).wipeout  # staircase has solutions
+
+
+def test_filter_level_rejects_ge_tree_at_every_level():
+    # ge-tree breaks symmetry during search and posts nothing to filter with.
+    problem = staircase_fixture()[0]
+    for level in LEVELS:
+        with pytest.raises(ValueError, match="method 'ge-tree' does not filter"):
+            filter_level(problem, "ge-tree", level)

@@ -369,6 +369,29 @@ def test_disjunction_matches_support_enumeration():
         assert mine.has_wipeout() == wiped
 
 
+def test_disjunction_is_entailed_wherever_its_singleton_sits():
+    # A scope variable that is exactly {value} satisfies the constraint on
+    # every subdomain, also when other candidates come before it in the scope.
+    dom = DomainSet.from_values([[1, 2], [1, 2], [1]])
+    assert DisjunctionEq(1, [0, 1, 2]).propagate(dom) is ENTAILED
+    assert dom == DomainSet.from_values([[1, 2], [1, 2], [1]])
+    rng = make_rng(41)
+    for _ in range(300):
+        n, m = rng.randint(2, 6), rng.randint(2, 5)
+        value = rng.randint(1, m)
+        lists = random_domain_lists(rng, n, m)
+        at = rng.randrange(1, n)
+        lists[at] = [value]
+        for var in rng.sample(range(at), rng.randint(1, at)):
+            lists[var] = sorted(set(lists[var]) | {value})
+        scope = rng.sample(range(n), n)
+        scope.sort(key=lambda var: var == at)  # candidates first, singleton last
+        dom = DomainSet.from_values(lists)
+        before = dom.copy()
+        assert DisjunctionEq(value, scope).propagate(dom) is ENTAILED, (lists, scope)
+        assert dom == before
+
+
 def test_value_cover_is_the_decomposition_fixpoint():
     # The kernel computes what the engine reaches over its member
     # disjunctions, not GAC on their conjunction (which would refute the

@@ -206,14 +206,14 @@ def test_reduce_support_search_tracks_satisfiability():
             )
         )
     for f in crafted + random_formulas:
-        prob, part = reduce_3sat(f)
+        prob, _ = reduce_3sat(f)
         switch = prob.num_vars - 1
         odd = 4 * f.num_vars + 1
         dom = prob.domains.copy()
         dom.assign(switch, odd)
         binaries = [c for c in prob.constraints if isinstance(c, ParityLink)]
         PropagationEngine(binaries, prob.num_vars).run(dom)
-        support = has_support(build_precedence(prob, part), dom, switch, odd)
+        support = has_support(build_precedence(prob), dom, switch, odd)
         sat = brute_sat(f)
         assert support == sat
         seen[sat] += 1
