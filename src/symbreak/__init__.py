@@ -61,6 +61,7 @@ from .instances import (
     chained_pairs_base,
     chained_pairs_family,
     format_dimacs,
+    named,
     parse_dimacs,
     pigeonhole_model,
     reduce_3sat,

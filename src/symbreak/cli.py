@@ -39,14 +39,14 @@ from .consistency import (
 )
 from .engine import Problem
 from .instances import (
+    _NAMED,
     brute_force_sat,
     chained_pairs_family,
+    named,
     parse_dimacs,
     pigeonhole_model,
     reduce_3sat,
     reduction_has_support,
-    staircase_fixture,
-    surjection_fixture,
 )
 from .problem_io import dumps, load_problem, problem_to_dict, save_problem
 from .search import SearchTimeout, Strategy, solve
@@ -106,18 +106,10 @@ def _deadline(args):
 
 
 def _resolve_problem(spec: str) -> Problem:
-    """A problem file path, or a named generator like pigeonhole:8,
-    staircase, surjection, chained-pairs:3."""
-    name, _, arg = spec.partition(":")
-    if name == "pigeonhole":
-        return pigeonhole_model(int(arg))
-    if name == "staircase":
-        return staircase_fixture()[0]
-    if name == "surjection":
-        return surjection_fixture()[0]
-    if name == "chained-pairs":
-        return chained_pairs_family(int(arg))
-    return load_problem(spec)
+    """The problem a registered name builds (`instances.named`), else the
+    problem file at that path."""
+    problem = named(spec)
+    return load_problem(spec) if problem is None else problem
 
 
 def cmd_solve(args) -> int:
@@ -238,7 +230,7 @@ def cmd_reduce(args) -> int:
     started = time.perf_counter()
     with open(args.cnf, "r", encoding="utf-8") as handle:
         formula = parse_dimacs(handle.read())
-    problem, _ = reduce_3sat(formula)
+    problem = reduce_3sat(formula)
     if args.out:
         save_problem(problem, args.out)
         print(f"wrote {args.out}")
@@ -304,9 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-domain lab for breaking value symmetry",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    problem_help = "problem file or named generator: " + ", ".join(form for form, _ in _NAMED.values())
 
     p = sub.add_parser("solve", help="search for solutions")
-    p.add_argument("problem", help="problem file or generator name (e.g. pigeonhole:8)")
+    p.add_argument("problem", help=problem_help)
     p.add_argument("--method", choices=METHODS, default="none")
     p.add_argument("--goal", choices=("first", "all", "count"), default="all")
     p.add_argument("--var-order", choices=("lex", "min-domain"), default="lex")
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("propagate", help="run one filtering level and report prunings")
-    p.add_argument("problem")
+    p.add_argument("problem", help=problem_help)
     p.add_argument("--level", choices=LEVELS, default="gac")
     p.add_argument("--method", choices=FILTER_METHODS, default="none")
     p.add_argument("--budget", type=int, default=None)
@@ -322,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("compare", help="filter with every method and check the strength order")
-    p.add_argument("problem")
+    p.add_argument("problem", help=problem_help)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, help="seconds for the SAC run")
     p.set_defaults(func=cmd_compare)

@@ -4,6 +4,7 @@ a DIMACS CNF reader, the 3-SAT reduction and the two sides of its check."""
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 
 from .breaking import ValueClassPartition, build_precedence, build_puget
@@ -29,34 +30,40 @@ def pigeonhole_model(n: int) -> Problem:
     )
 
 
-def staircase_fixture() -> tuple[Problem, DomainSet]:
+def staircase_fixture() -> Problem:
     """Five variables over one class of five interchangeable values, domains
     {1}, {1,2}, {1,3}, {1,4}, {5}. Every adjacent-transposition lex constraint
     is already at fixpoint here, yet the full group still prunes value 1 from
-    the three middle variables."""
-    domains = DomainSet.from_values([[1], [1, 2], [1, 3], [1, 4], [5]])
-    problem = Problem(
+    the three middle variables.
+
+    The declared class is not a solution symmetry of these domains: swapping
+    2 and 3 maps the solution 1,2,1,1,5 to 1,3,1,1,5, which X1 = {1,2}
+    forbids. Of the 8 solutions, every breaking method keeps 1,2,3,4,5 alone,
+    yet the solution 1,1,1,1,5 lies in another orbit: the kept set is not one
+    solution per orbit."""
+    return Problem(
         num_vars=5,
         num_values=5,
-        domains=domains,
+        domains=DomainSet.from_values([[1], [1, 2], [1, 3], [1, 4], [5]]),
         partition=ValueClassPartition.of([range(1, 6)]),
     )
-    return problem, domains.copy()
 
 
-def surjection_fixture() -> tuple[Problem, DomainSet]:
+def surjection_fixture() -> Problem:
     """Seven variables over one class of four interchangeable values, with a
     tail that forces every value to occur. Arc consistency on the dual
     first-use encoding prunes nothing from the original variables, while full
-    filtering removes value 1 from the second variable."""
-    domains = DomainSet.from_values([[1], [1, 2], [1, 3], [3, 4], [2], [3], [4]])
-    problem = Problem(
+    filtering removes value 1 from the second variable.
+
+    As in `staircase_fixture`, the declared class is not a solution symmetry
+    of these domains: of the 8 solutions, every breaking method keeps the
+    same 3, which is not one per orbit."""
+    return Problem(
         num_vars=7,
         num_values=4,
-        domains=domains,
+        domains=DomainSet.from_values([[1], [1, 2], [1, 3], [3, 4], [2], [3], [4]]),
         partition=ValueClassPartition.of([range(1, 5)]),
     )
-    return problem, domains.copy()
 
 
 # First-use domains of the surjection fixture at the arc-consistency fixpoint,
@@ -125,6 +132,35 @@ def chained_pairs_family(k: int) -> Problem:
     encoding = build_puget(chained_pairs_levels_base(k)).problem
     narrowed = propagate_fixpoint(encoding)
     return replace(encoding, domains=narrowed.final_domains)
+
+
+# The one table of problem names: name -> (the form a user writes, its
+# generator). A fixture's form is its bare name; a family's form names the
+# one integer argument it takes.
+_NAMED = {
+    "pigeonhole": ("pigeonhole:N", pigeonhole_model),
+    "staircase": ("staircase", staircase_fixture),
+    "surjection": ("surjection", surjection_fixture),
+    "chained-pairs": ("chained-pairs:K", chained_pairs_family),
+}
+
+
+def named(spec: str) -> Problem | None:
+    """The problem a registered name builds, such as `pigeonhole:8` or
+    `staircase`, or None when the part of spec before its first colon is no
+    registered name. A fixture takes no argument and a family exactly one
+    decimal integer; any other spec with a registered name is a ValueError
+    that names the expected form. The generator checks the integer's range."""
+    name, colon, arg = spec.partition(":")
+    if name not in _NAMED:
+        return None
+    form, generator = _NAMED[name]
+    if form == name:
+        if not colon:
+            return generator()
+    elif re.fullmatch("-?[0-9]+", arg):
+        return generator(int(arg))
+    raise ValueError(f"bad problem name {spec!r}: expected {form}")
 
 
 class DimacsError(ValueError):
@@ -226,7 +262,7 @@ def _literal_values(lit: int) -> tuple[int, int]:
     return (4 * v - 1, 4 * v)
 
 
-def reduce_3sat(formula: CNFFormula) -> tuple[Problem, ValueClassPartition]:
+def reduce_3sat(formula: CNFFormula) -> Problem:
     """Encode a 3-CNF as a CSP over N+M+1 variables and 4N+2 values.
 
     Variable i <= N picks one of four values, the odd pair meaning true and
@@ -264,16 +300,14 @@ def reduce_3sat(formula: CNFFormula) -> tuple[Problem, ValueClassPartition]:
     for i in range(1, n + 1):
         pairs.append((4 * i - 3, 4 * i - 2))
         pairs.append((4 * i - 1, 4 * i))
-    partition = ValueClassPartition.of(pairs)
 
-    problem = Problem(
+    return Problem(
         num_vars=n + m + 1,
         num_values=4 * n + 2,
         domains=DomainSet.from_values(value_lists),
         constraints=tuple(constraints),
-        partition=partition,
+        partition=ValueClassPartition.of(pairs),
     )
-    return problem, partition
 
 
 def reduction_has_support(problem: Problem, budget: int = DEFAULT_BUDGET) -> bool:

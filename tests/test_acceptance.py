@@ -98,12 +98,12 @@ def test_static_dynamic_pigeonhole_separation():
 
 
 def test_full_group_filtering_beats_adjacent_generators_on_staircase():
-    prob, dom = staircase_fixture()
+    prob = staircase_fixture()
     group = full_group(prob.partition, prob.num_values)
     conjunction = lex_constraints(group.perms, range(prob.num_vars))
-    oracle = brute_force_gac(conjunction, dom)
+    oracle = brute_force_gac(conjunction, prob.domains)
     exact = oracle.pruned_pairs() == {(1, 1), (2, 1), (3, 1)} and not oracle.wipeout
-    quiet = all(c.propagate(dom.copy()) == [] for c in build_generator_lex(prob))
+    quiet = all(c.propagate(prob.domains.copy()) == [] for c in build_generator_lex(prob))
     check(
         "staircase-group-vs-generators",
         exact and quiet,
@@ -112,11 +112,11 @@ def test_full_group_filtering_beats_adjacent_generators_on_staircase():
 
 
 def test_dual_encoding_ac_blind_spot_on_surjection_fixture():
-    prob, dom = surjection_fixture()
+    prob = surjection_fixture()
     enc = build_puget(prob)
     ac = propagate_fixpoint(enc.problem)
     x_prunings = enc.x_pairs(ac.pruned_pairs())
-    oracle = brute_force_gac([ClassCanonical(prob.partition, range(7))], dom)
+    oracle = brute_force_gac([ClassCanonical(prob.partition, range(7))], prob.domains)
     ok = (
         not ac.wipeout
         and (1, 1) not in x_prunings
@@ -131,7 +131,7 @@ def test_dual_encoding_ac_blind_spot_on_surjection_fixture():
 
 
 def test_dual_encoding_ac_dominates_adjacent_generators():
-    prob, _ = staircase_fixture()
+    prob = staircase_fixture()
     enc = build_puget(prob)
     ac = propagate_fixpoint(enc.problem)
     fixture_ok = enc.x_pairs(ac.pruned_pairs()) == {(1, 1), (2, 1), (3, 1)}
@@ -272,7 +272,7 @@ def test_reduction_support_agreement_with_sat():
     agree = 0
     verdicts = set()
     for f in formulas:
-        prob, _ = reduce_3sat(f)
+        prob = reduce_3sat(f)
         switch = prob.num_vars - 1
         odd = 4 * f.num_vars + 1
         dom = prob.domains.copy()

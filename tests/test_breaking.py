@@ -143,7 +143,7 @@ def test_class_canonical_checker_matches_lex_conjunction_oracle():
 
 
 def test_builders_produce_expected_counts():
-    prob, _ = staircase_fixture()
+    prob = staircase_fixture()
     assert len(build_generator_lex(prob)) == 4
     assert len(build_precedence(prob)) == 1
     singles = Problem(
@@ -170,7 +170,7 @@ def test_all_static_builders_select_exactly_canonical_solutions():
 def test_puget_first_use_domains_on_surjection_fixture():
     from symbreak.instances import SURJECTION_FIXTURE_FIRST_USE
 
-    prob, _ = surjection_fixture()
+    prob = surjection_fixture()
     enc = build_puget(prob)
     out = propagate_fixpoint(enc.problem)
     assert not out.wipeout
@@ -270,7 +270,7 @@ def test_puget_logs_keep_their_digest():
 def test_apply_method_keeps_the_problem_first():
     # The problem's variables, domains and constraints stay first, so
     # var < num_vars picks the problem's pairs; only puget adds variables.
-    for problem in (staircase_fixture()[0], surjection_fixture()[0], pigeonhole_model(4)):
+    for problem in (staircase_fixture(), surjection_fixture(), pigeonhole_model(4)):
         n = problem.num_vars
         for method in METHODS:
             run = apply_method(problem, method)
@@ -280,7 +280,7 @@ def test_apply_method_keeps_the_problem_first():
 
 
 def test_apply_method_rejects_an_unknown_method_and_a_problem_without_classes():
-    problem = staircase_fixture()[0]
+    problem = staircase_fixture()
     with pytest.raises(ValueError, match="unknown method 'lex'"):
         apply_method(problem, "lex")
     bare = replace(problem, partition=None)

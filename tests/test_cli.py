@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import symbreak
-from symbreak import DomainSet, Problem, cli
+from symbreak import DomainSet, Problem, cli, instances
 from symbreak.breaking import METHODS, ValueClassPartition, build_generator_lex, build_precedence, build_puget
 from symbreak.cli import EXIT_TIMEOUT, main
 from symbreak.consistency import LEVELS, compare_methods, filter_level
@@ -60,7 +61,7 @@ def test_solve_trivial_satisfiable_file(capsys, tmp_path):
 
 
 def test_solve_puget_reports_original_variables(capsys, tmp_path):
-    prob, _ = surjection_fixture()
+    prob = surjection_fixture()
     path = tmp_path / "surj.json"
     save_problem(prob, str(path))
     code, out, _ = run_cli(capsys, "solve", str(path), "--method", "puget")
@@ -79,7 +80,7 @@ def test_propagate_oracle_vs_generator_lex_differ_exactly_on_staircase(capsys):
 
 
 def test_propagate_puget_ac_empty_on_surjection_fixture(capsys, tmp_path):
-    prob, _ = surjection_fixture()
+    prob = surjection_fixture()
     path = tmp_path / "surj.json"
     save_problem(prob, str(path))
     code, out, _ = run_cli(capsys, "propagate", str(path), "--level", "ac", "--method", "puget")
@@ -770,6 +771,45 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+# A registered name with the wrong argument is refused, never resolved to the
+# bare fixture or a Python int() message; a valid family argument out of its
+# generator's range keeps the generator's own message.
+MALFORMED_NAMES = {
+    "staircase:3": "expected staircase",
+    "surjection:junk": "expected surjection",
+    "pigeonhole:": "expected pigeonhole:N",
+    "pigeonhole:x": "expected pigeonhole:N",
+    "pigeonhole:2:3": "expected pigeonhole:N",
+    "chained-pairs": "expected chained-pairs:K",
+    "pigeonhole:0": "need at least one variable",
+    "chained-pairs:0": "k must be at least 1",
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "propagate", "compare"])
+@pytest.mark.parametrize("spec", sorted(MALFORMED_NAMES))
+def test_malformed_problem_names_are_usage_errors(capsys, command, spec):
+    code, out, err = run_cli(capsys, command, spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert MALFORMED_NAMES[spec] in err
+    if "expected" in MALFORMED_NAMES[spec]:
+        assert repr(spec) in err
+
+
+def test_readme_and_help_list_the_registered_names(capsys):
+    # README's "Command line" sentence and the problem argument's help both
+    # list every registered name with its argument form, in table order.
+    forms = [form for form, _ in instances._NAMED.values()]
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        sentence = f.read().split("a named generator: ", 1)[1].split(".", 1)[0]
+    assert re.findall("`([^`]*)`", sentence) == forms
+    listed = "".join(("named generator: " + ", ".join(forms)).split())
+    for command in ("solve", "propagate", "compare"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and listed in "".join(out.split())  # help may wrap, at hyphens too
+
+
 # Each file under tests/golden holds the stdout of `symbreak <argv>`,
 # recorded at commit 959648d. A change that only aims at speed must leave
 # every byte as it is.
@@ -820,15 +860,15 @@ def mutation_bases():
     instances, which between them hold every constraint kind."""
     rng = random.Random(5)
     problems = [compare_case(rng, wide) for wide in (False, True) for _ in range(3)]
-    staircase = staircase_fixture()[0]
+    staircase = staircase_fixture()
     problems += [
         staircase.with_constraints(build_precedence(staircase)),
         staircase.with_constraints(build_generator_lex(staircase)),
-        surjection_fixture()[0],
-        build_puget(surjection_fixture()[0]).problem,
+        surjection_fixture(),
+        build_puget(surjection_fixture()).problem,
         pigeonhole_model(4),
         chained_pairs_family(2),
-        reduce_3sat(parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n"))[0],
+        reduce_3sat(parse_dimacs("p cnf 2 2\n1 -2 0\n2 0\n")),
     ]
     docs = [problem_to_dict(p) for p in problems]
     docs[0]["constraints"] = [{"type": "at_least_n_values", "prefix_length": 3, "distinct_count": 2}]

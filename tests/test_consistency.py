@@ -80,15 +80,15 @@ def test_enumerate_budget_refusal():
 # -------------------------------------------------------------------- oracle
 
 def test_oracle_full_group_on_staircase():
-    prob, dom = staircase_fixture()
-    out = brute_force_gac([ClassCanonical(prob.partition, range(5))], dom)
+    prob = staircase_fixture()
+    out = brute_force_gac([ClassCanonical(prob.partition, range(5))], prob.domains)
     assert out.pruned_pairs() == {(1, 1), (2, 1), (3, 1)}
     assert not out.wipeout
 
 
 def test_oracle_full_group_on_surjection_fixture():
-    prob, dom = surjection_fixture()
-    out = brute_force_gac([ClassCanonical(prob.partition, range(7))], dom)
+    prob = surjection_fixture()
+    out = brute_force_gac([ClassCanonical(prob.partition, range(7))], prob.domains)
     assert out.pruned_pairs() == {(1, 1)}
 
 
@@ -278,7 +278,7 @@ def test_sac_matches_literal_definition():
 
 
 def test_sac_deadline_is_checked_per_probe():
-    enc = build_puget(staircase_fixture()[0])
+    enc = build_puget(staircase_fixture())
     plain = enforce_sac(enc.problem)
     late = enforce_sac(enc.problem, deadline=time.perf_counter() + 3600)
     assert late.prunings == plain.prunings and late.wipeout == plain.wipeout
@@ -672,7 +672,7 @@ def test_k_consistency_reads_two_variable_constraints_of_any_kind():
 
 
 def test_filter_level_rejects_an_unknown_level_or_method():
-    problem = staircase_fixture()[0]
+    problem = staircase_fixture()
     with pytest.raises(ValueError, match="unknown level 'pc'"):
         filter_level(problem, "none", "pc")
     for level in LEVELS:
@@ -683,7 +683,7 @@ def test_filter_level_rejects_an_unknown_level_or_method():
 
 def test_filter_level_rejects_ge_tree_at_every_level():
     # ge-tree breaks symmetry during search and posts nothing to filter with.
-    problem = staircase_fixture()[0]
+    problem = staircase_fixture()
     for level in LEVELS:
         with pytest.raises(ValueError, match="method 'ge-tree' does not filter"):
             filter_level(problem, "ge-tree", level)

@@ -93,9 +93,9 @@ def test_at_least_n_values_counts_distinct():
 # ----------------------------------------------------------------- lex filter
 
 def test_lex_filter_leaves_staircase_untouched():
-    prob, dom = staircase_fixture()
+    prob = staircase_fixture()
     for c in build_generator_lex(prob):
-        assert c.propagate(dom.copy()) == []
+        assert c.propagate(prob.domains.copy()) == []
 
 
 def test_lex_filter_identity_never_prunes():
@@ -176,9 +176,9 @@ def test_lex_filter_sound_for_shared_assignment_semantics():
 # ---------------------------------------------------------- precedence filter
 
 def test_precedence_filter_on_staircase():
-    prob, dom = staircase_fixture()
+    prob = staircase_fixture()
     (c,) = build_precedence(prob)
-    assert sorted(c.propagate(dom.copy())) == [(1, 1), (2, 1), (3, 1)]
+    assert sorted(c.propagate(prob.domains.copy())) == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_precedence_filter_single_variable():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from symbreak import (
     format_dimacs,
     has_support,
     is_k_consistent,
+    named,
     parse_dimacs,
     pigeonhole_model,
     propagate_fixpoint,
@@ -26,6 +28,7 @@ from symbreak import (
 from symbreak.breaking import ClassCanonical, apply_permutation, build_precedence, build_puget, full_group
 from symbreak.constraints import ParityLink
 from symbreak.instances import brute_force_sat, chained_pairs_levels_base, reduction_has_support
+from symbreak.problem_io import dumps, problem_to_dict
 
 from conftest import brute_solutions, make_rng
 
@@ -60,17 +63,17 @@ def test_pigeonhole_rejects_zero():
 # -------------------------------------------------------------------- fixtures
 
 def test_fixture_domains_and_determinism():
-    prob, dom = staircase_fixture()
+    dom = staircase_fixture().domains
     assert dom.as_lists() == [[1], [1, 2], [1, 3], [1, 4], [5]]
-    assert staircase_fixture()[1] == dom
-    prob5, dom5 = surjection_fixture()
+    assert staircase_fixture().domains == dom
+    dom5 = surjection_fixture().domains
     assert dom5.as_lists() == [[1], [1, 2], [1, 3], [3, 4], [2], [3], [4]]
-    assert surjection_fixture()[1] == dom5
+    assert surjection_fixture().domains == dom5
 
 
 def test_surjection_fixture_admits_a_canonical_assignment():
-    prob, dom = surjection_fixture()
-    out = brute_force_gac([ClassCanonical(prob.partition, range(7))], dom)
+    prob = surjection_fixture()
+    out = brute_force_gac([ClassCanonical(prob.partition, range(7))], prob.domains)
     assert not out.wipeout
 
 
@@ -124,19 +127,52 @@ def test_chained_pairs_family_is_the_narrowed_dual_encoding():
                 assert s[z] == (used[0] if used else enc.dummy_value[j])
 
 
+# ------------------------------------------------------------- named problems
+
+# SHA-256 of dumps(problem_to_dict(cli._resolve_problem(spec))), recorded at
+# commit 98f3255, before instances.named became the one table of names.
+NAMED_PROBLEM_DIGESTS = {
+    "pigeonhole:1": "d7986ebf72f44ac8bd2eb38fc7f1b09d904c77f9e8c27d0baccb9c2e0cb9edfa",
+    "pigeonhole:2": "d57279e147634df13420b4c809c00fb3106affed2f3a221a1455d9819f9cf80a",
+    "pigeonhole:3": "039e96bfe5673c435aee79ad332dbdf346fb82ab5fac133898ea70762c20b93d",
+    "pigeonhole:4": "c7acc568246cb2f5c4ecea952b05eafeb8c0ab2cf16be311b5a9bcf2a6ca6ab2",
+    "pigeonhole:5": "853567a4ab73d2cef03d3296e2acb1cd74f25ab5f8adceee5a009567b118edef",
+    "pigeonhole:6": "1bfc3a7928717c1ae179238a3fe670adea34e4a5812542d87933eb3936ac8110",
+    "pigeonhole:7": "345a673fafae468dfc346c8299d4732254b6f2bcf364816341c48e875c1be4c9",
+    "pigeonhole:8": "2b20ded2dc4b50d8d37b3e13eda182f81d588e99d8de5bdf6ec18ceb1853389f",
+    "staircase": "fc2220d69aa1a3426f1b6212e5aebbf7b9ce9dad336bacf73fb226307519bbc0",
+    "surjection": "dbfd350bc48e1cd81c56d1d027453010159c7bcc8973fdbc5e9fea8e8eefa7e4",
+    "chained-pairs:1": "ea5cb9b647942b8536d875d7e2b03b2082dc31e981e30ed819c0de2f5c7c2b4f",
+    "chained-pairs:2": "826229e81fc2e461d63b056046ebe98af4e65afeb86c7da9cc5a47993994eeeb",
+    "chained-pairs:3": "6631fe654c180f08f839c8af8e1f81ea12594e1b367f5d4958053589a53fd1b8",
+    "chained-pairs:4": "58c39f154d2d8f84520abd12fd3f59014562a0f43ebf3368e3af35f4f0b3af25",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(NAMED_PROBLEM_DIGESTS))
+def test_named_builds_the_problem_the_cli_resolved(spec):
+    text = dumps(problem_to_dict(named(spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == NAMED_PROBLEM_DIGESTS[spec]
+
+
+def test_named_leaves_other_specs_to_the_caller():
+    for spec in ("problem.json", "pigeon:3", "C:\\cases\\staircase.json", "", ":3"):
+        assert named(spec) is None
+
+
 # ------------------------------------------------------------------- reduction
 
 def test_reduce_duplicate_literals_collapse():
-    prob, part = reduce_3sat(CNFFormula(1, (((1, 1, 1)),)))
+    prob = reduce_3sat(CNFFormula(1, (((1, 1, 1)),)))
     # clause variable keeps just the pair standing for the literal
     assert prob.domains.values(1) == [1, 2]
     assert prob.num_vars == 3 and prob.num_values == 6
-    assert part.classes == ((1, 2), (3, 4))
+    assert prob.partition.classes == ((1, 2), (3, 4))
 
 
 def test_reduce_clause_domains_follow_literal_polarity():
     f = CNFFormula(3, ((1, -2, 3),))
-    prob, _ = reduce_3sat(f)
+    prob = reduce_3sat(f)
     assert prob.domains.values(3) == [1, 2, 7, 8, 9, 10]
 
 
@@ -154,7 +190,7 @@ def test_reduce_even_switch_side_is_satisfiable():
         clauses = tuple(
             tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(3)) for _ in range(m)
         )
-        prob, _ = reduce_3sat(CNFFormula(n, clauses))
+        prob = reduce_3sat(CNFFormula(n, clauses))
         switch = prob.num_vars - 1
         dom = prob.domains.copy()
         dom.assign(switch, 4 * n + 2)
@@ -164,7 +200,7 @@ def test_reduce_even_switch_side_is_satisfiable():
 
 def test_reduce_parity_links_narrow_domains_as_documented():
     f = CNFFormula(2, ((1, -2, 1),))
-    prob, _ = reduce_3sat(f)
+    prob = reduce_3sat(f)
     switch = prob.num_vars - 1
     dom = prob.domains.copy()
     dom.assign(switch, 9)  # the odd switch value for two variables
@@ -177,9 +213,9 @@ def test_reduce_parity_links_narrow_domains_as_documented():
 
 def test_reduce_interchangeable_pairs_preserve_solutions():
     f = CNFFormula(2, ((1, 2, -1), (-2, 1, 2)))
-    prob, part = reduce_3sat(f)
+    prob = reduce_3sat(f)
     sols = set(enumerate_solutions(prob, budget=10**7))
-    group = full_group(part, prob.num_values)
+    group = full_group(prob.partition, prob.num_values)
     for sol in itertools.islice(sols, 40):
         for perm in group.perms:
             assert apply_permutation(perm, sol) in sols
@@ -206,7 +242,7 @@ def test_reduce_support_search_tracks_satisfiability():
             )
         )
     for f in crafted + random_formulas:
-        prob, _ = reduce_3sat(f)
+        prob = reduce_3sat(f)
         switch = prob.num_vars - 1
         odd = 4 * f.num_vars + 1
         dom = prob.domains.copy()
@@ -234,7 +270,7 @@ def test_reduction_check_agrees_with_sat():
             ),
         )
         sat = brute_sat(formula)
-        prob, _ = reduce_3sat(formula)
+        prob = reduce_3sat(formula)
         assert reduction_has_support(prob) == sat, formula
         assert brute_force_sat(formula) == sat, formula
         seen[sat] += 1

@@ -37,7 +37,7 @@ def minimal_doc():
 
 
 def test_round_trip_through_dict():
-    for prob in (pigeonhole_model(3), staircase_fixture()[0], reduce_3sat(CNFFormula(2, ((1, -2, 2),)))[0]):
+    for prob in (pigeonhole_model(3), staircase_fixture(), reduce_3sat(CNFFormula(2, ((1, -2, 2),)))):
         doc = problem_to_dict(prob)
         again = problem_from_dict(doc)
         assert problem_to_dict(again) == doc
