@@ -11,6 +11,10 @@ propagation or branching reaches them.
 The search is one loop over an explicit stack, one frame per assigned
 variable, and each child copies its parent's domain masks. Depth costs no
 Python recursion, so the recursion limit does not bound the variable count.
+A frame keeps its untried candidates as a bit mask and tries them lowest
+first, and it keeps the mask of values assigned above it, so a surviving
+child passes that mask with its own value's bit down, and the GE-tree rule
+(`ge_tree_mask`) reads it without walking the partial assignment.
 Each frame also keeps its node's entailment flags (see
 `PropagationEngine.run`): the root's full run fills them, and each child
 runs on a copy of its parent's flags, so it never wakes a constraint that an
@@ -45,6 +49,15 @@ branch, the backtrack and the prunings that the run would have given, and
 - a doomed child holds no solution, so the solutions, `goal="first"` and
   the order of `node_hook` calls do not move.
 
+A frame settles its lowest untried candidates that are all doomed, up to
+the next one that is not, in one step: k of them add k nodes, branches and
+backtracks and k times the count to `prunings`, and `node_hook`, when set,
+sees each in ascending order. That is exact because a settled child copies
+and mutates nothing: the parent's domains, its flags and the frame's
+doomed mask and count are what the next child reads, so k consecutive
+doomed children are k single ones. No deadline check falls between them,
+as none falls between children of one frame.
+
 A set flag means every needed value is some variable's singleton, where
 nothing is doomed, so that check only saves the scan. On ge-tree
 `pigeonhole:10` the lookahead settles 21,147 of 26,442 nodes.
@@ -58,7 +71,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .breaking import ValueClassPartition
 from .constraints import Conditional, DisjunctionEq, ValueCover
@@ -98,6 +111,16 @@ class Strategy:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
+def ge_tree_mask(used: int, mask: int, partition: ValueClassPartition) -> int:
+    """The GE-tree rule on masks: of mask, keep the values in used and, per
+    class, the smallest class value not in used; off-class values pass."""
+    keep = mask & (used | ~partition.classed_mask)
+    for cls_mask in partition.class_masks:
+        unused = cls_mask & ~used
+        keep |= mask & unused & -unused  # the lowest unused class value, if in mask
+    return keep
+
+
 def ge_tree_candidates(
     partial: dict,
     var: int,
@@ -105,14 +128,10 @@ def ge_tree_candidates(
     partition: ValueClassPartition,
 ) -> list[int]:
     """Branching values for var: per class, the values the partial assignment
-    already uses plus the smallest unused one; off-class values pass through."""
-    used = mask_of(partial.values())
-    mask = dom.masks[var]
-    keep = mask & (used | ~partition.classed_mask)
-    for cls_mask in partition.class_masks:
-        unused = cls_mask & ~used
-        keep |= mask & unused & -unused  # the lowest unused class value, if in dom
-    return bits_of(keep)
+    already uses plus the smallest unused one; off-class values pass through.
+    `solve` applies the same rule as `ge_tree_mask`, to the used mask it
+    carries down the search."""
+    return bits_of(ge_tree_mask(mask_of(partial.values()), dom.masks[var], partition))
 
 
 def _fuse_value_covers(constraints: tuple) -> Sequence:
@@ -174,12 +193,14 @@ def solve(
     if wiped:
         return solutions, stats
 
-    # One frame per variable on the current path: (var, its domain before
-    # branching, its entailment flags, the candidates not yet tried, the
-    # kernel's doomed mask and wipeout count for var). dom and flags are the
-    # node being entered, the root or a child that propagation did not wipe
-    # out.
-    stack: list[tuple[int, DomainSet, list[bool], Iterator[int], int, int]] = []
+    # One frame per variable on the current path: [var, its domain and
+    # entailment flags before branching, the mask of the values assigned
+    # above it, the mask of its untried candidates, the kernel's doomed mask
+    # and wipeout count for var]. Only the untried mask changes in place.
+    # dom, flags and used are the node being entered, the root or a child
+    # that propagation did not wipe out.
+    used = 0
+    stack: list[list] = []
     while True:
         if deadline is not None and time.perf_counter() > deadline:
             raise SearchTimeout(stats)
@@ -202,30 +223,46 @@ def solve(
             else:
                 stats.backtracks += 1
         else:
-            cands = ge_tree_candidates(partial, var, dom, partition) if ge_mode else dom.values(var)
+            cands = ge_tree_mask(used, dom.masks[var], partition) if ge_mode else dom.masks[var]
             if cands:
                 doomed = wipe_count = 0
                 if cover is not None and not flags[0]:
                     doomed, wipe_count = cover.doomed(dom.masks, var)
-                stack.append((var, dom, flags, iter(cands), doomed, wipe_count))
+                stack.append([var, dom, flags, used, cands, doomed, wipe_count])
             else:
                 stats.branches += 1
                 stats.backtracks += 1
         while stack:  # advance to the next child that survives propagation
-            var, parent, parent_flags, untried, doomed, wipe_count = stack[-1]
-            value = next(untried, None)
-            if value is None:
+            frame = stack[-1]
+            var, parent, parent_flags, parent_used, untried, doomed, wipe_count = frame
+            if not untried:
                 stack.pop()
-                del partial[var]
+                partial.pop(var, None)  # a run settled without node_hook sets no value
                 continue
+            low = untried & -untried
+            if doomed & low:
+                # Every untried value below the lowest undoomed one: each is
+                # one node, branch and backtrack (see the module docstring).
+                live = untried & ~doomed
+                run = untried & ((live & -live) - 1)  # all of untried when live is 0
+                frame[4] = untried ^ run
+                k = run.bit_count()
+                stats.nodes += k
+                stats.prunings += k * wipe_count
+                stats.branches += k
+                stats.backtracks += k
+                if node_hook is not None:
+                    for value in bits_of(run):
+                        partial[var] = value
+                        node_hook(dict(partial))
+                continue
+            frame[4] = untried ^ low
+            value = low.bit_length() - 1
             stats.nodes += 1
-            if doomed >> value & 1:
-                pruned, wiped = wipe_count, True  # engine.run's return; see the module docstring
-            else:
-                child = parent.copy()
-                child.assign(var, value)
-                child_flags = parent_flags[:]
-                pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
+            child = parent.copy()
+            child.assign(var, value)
+            child_flags = parent_flags[:]
+            pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
             stats.prunings += pruned
             partial[var] = value
             if node_hook is not None:
@@ -233,6 +270,7 @@ def solve(
             if not wiped:
                 dom = child
                 flags = child_flags
+                used = parent_used | low
                 break
             stats.branches += 1
             stats.backtracks += 1

@@ -3,6 +3,7 @@ import pytest
 from symbreak import (
     DomainSet,
     Problem,
+    PropagationEngine,
     SearchTimeout,
     Strategy,
     canonical_form,
@@ -212,6 +213,62 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
     assert settled[0] >= 100, settled
 
 
+def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
+    # Without node_hook, solve settles each run of consecutive doomed
+    # children in one step. Solutions and all five counters must be what
+    # running every child through the engine gives.
+    def record(prob, strategy, goal):
+        solutions, stats = solve(prob, strategy=strategy, goal=goal)
+        return solutions, stats.as_record()
+
+    def settled_in_runs(prob, strategy, goal):
+        # Children settled in runs of two or more, read from node_hook: a
+        # settled child runs no engine, and the children of one run differ
+        # only in the value of their frame's variable.
+        trace = []  # None for a child's engine run, then each node's variables
+        real_run = PropagationEngine.run
+
+        def marking_run(self, dom, changed=None, entailed=None):
+            if changed is not None:
+                trace.append(None)
+            return real_run(self, dom, changed=changed, entailed=entailed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PropagationEngine, "run", marking_run)
+            solve(prob, strategy=strategy, goal=goal,
+                  node_hook=lambda partial: trace.append(frozenset(partial)))
+        lengths = []
+        prev, prev_settled = "root", False
+        for item in trace:
+            settled = item is not None and prev is not None
+            if settled and prev_settled and item == prev:
+                lengths[-1] += 1
+            elif settled:
+                lengths.append(1)
+            prev, prev_settled = item, settled
+        return sum(k for k in lengths if k >= 2)
+
+    def compare(prob, strategy, goal):
+        batched = record(prob, strategy, goal)
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "doomed", lambda self, masks, var: (0, 0))
+            every_child_run = record(prob, strategy, goal)
+        assert batched == every_child_run, (prob, strategy, goal)
+        return settled_in_runs(prob, strategy, goal)
+
+    rng = make_rng(65)
+    in_runs = 0
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        in_runs += compare(prob, strategy, rng.choice(["first", "all", "count"]))
+    for n in range(4, 11):
+        for order in ("lex", "min-domain"):
+            in_runs += compare(pigeonhole_model(n), Strategy(mode="ge-tree", var_order=order), "count")
+    assert in_runs >= 100, in_runs
+
+
 def test_generator_lex_pigeonhole_calls_few_lex_filters_per_node(monkeypatch):
     # A lex constraint that ties as singletons up to a position whose values
     # all fall below their images, or ties as singletons throughout, is
@@ -276,6 +333,36 @@ def test_candidates_match_the_rule_on_random_partials():
         partial = {v: rng.randint(1, m) for v in rng.sample(others, rng.randint(0, len(others)))}
         assert ge_tree_candidates(partial, var, dom, part) == by_rule(partial, var, dom, part), (
             partial, var, dom, part)
+
+
+def test_ge_tree_mask_matches_the_rule_on_random_used_sets():
+    # Independent restatement on masks: of var's domain, keep the values in
+    # used, and per class the smallest class value not in used; values in
+    # no class, including those above every class, pass.
+    def by_rule(used, values, part):
+        out = []
+        for value in values:
+            cls = next((c for c in part.classes if value in c), None)
+            if cls is None or value in used or value == min(set(cls) - used, default=None):
+                out.append(value)
+        return out
+
+    rng = make_rng(32)
+    empty = 0
+    for _ in range(600):
+        m = rng.randint(1, 7)
+        part = random_partition(rng, m, max_classes=rng.randint(1, 3))
+        values = sorted(rng.sample(range(1, m + 3), rng.randint(0, m + 2)))
+        partial = {v: rng.randint(1, m + 2) for v in range(rng.randint(0, 5))}
+        used_mask = 0
+        for value in partial.values():
+            used_mask |= 1 << value
+        mask = sum(1 << value for value in values)
+        got = search.ge_tree_mask(used_mask, mask, part)
+        expected = by_rule(set(partial.values()), values, part)
+        assert got == sum(1 << value for value in expected), (partial, values, part)
+        empty += not values
+    assert empty > 0
 
 
 def test_static_mode_with_precedence_fails_at_root():
