@@ -264,9 +264,12 @@ class LexLeqPermuted(Constraint):
         # (two for a transposition); every other bit, including values above
         # perm.size, maps to itself.
         moved = perm.moved_points()
-        self._fixed = ~mask_of(v for v, _ in moved)
+        self._moved_mask = mask_of(v for v, _ in moved)
+        self._fixed = ~self._moved_mask
         self._moved = tuple((1 << v, 1 << s) for v, s in moved)
         self._preimage = {s: v for v, s in moved}
+        self._descending = mask_of(v for v, s in moved if s < v)  # sigma(v) < v
+        self._position = {var: p for p, var in enumerate(self.order)}
 
     def check(self, assignment) -> bool:
         perm = self.perm
@@ -290,10 +293,12 @@ class LexLeqPermuted(Constraint):
         """Whether positions p.. can still settle the comparison as <=: the
         first position that can fall strictly below its image comes before
         the first one that cannot tie (or every position can tie)."""
-        order = self.order
         image = self._image
-        for var in order[p:]:
+        moved = self._moved_mask
+        for var in self.order[p:]:
             left = masks[var]
+            if not (left & (left - 1) or left & moved):
+                continue  # a fixed singleton ties
             right = image(left)
             if (left & -left) << 1 <= right:
                 return True
@@ -318,6 +323,7 @@ class LexLeqPermuted(Constraint):
         n = len(order)
         image = self._image
         preimage = self._preimage
+        moved = self._moved_mask
         removed: Removed = []
         if not all(map(masks.__getitem__, order)):
             return _wipe_scope(masks, order, removed)  # an empty position has no support
@@ -327,6 +333,9 @@ class LexLeqPermuted(Constraint):
             p = start
             while p < n:
                 left = masks[order[p]]
+                if not (left & (left - 1) or left & moved):
+                    p += 1  # a fixed singleton: a tie at c = left, nothing dirty
+                    continue
                 right = image(left)
                 low = left & -left
                 if low << 1 <= right:
@@ -364,6 +373,32 @@ class LexLeqPermuted(Constraint):
                 # no support left anywhere.
                 return _wipe_scope(masks, order, removed)
             start = p
+
+    def doomed(self, masks: list[int], var: int) -> tuple[int, int]:
+        """Values b of var whose child, masks with var set to {b}, this
+        filter wipes out, as a submask of masks[var]; and the count that
+        call removes, which is every value the child's scope holds: the
+        other scope variables' bits plus 1. It may miss doomed values, never
+        names a value that is not: when every position before var's is a
+        singleton that the permutation fixes, it names the values b with
+        sigma(b) < b. The scan ties at each of those positions and meets
+        {b} against {sigma(b)} at var's, which can neither fall below nor
+        tie, so the scope wipes. (0, 0) when the prefix holds anything else,
+        or when var is not in the scope.
+        """
+        p = self._position.get(var)
+        if p is None:
+            return 0, 0
+        moved = self._moved_mask
+        order = self.order
+        for v in order[:p]:
+            m = masks[v]
+            if m & (m - 1) or m & moved:
+                return 0, 0
+        count = 1 - masks[var].bit_count()
+        for v in order:
+            count += masks[v].bit_count()
+        return masks[var] & self._descending, count
 
     def describe(self) -> str:
         moved = ",".join(f"{a}<->{b}" for a, b in self.perm.moved_points() if a < b)

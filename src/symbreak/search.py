@@ -30,22 +30,33 @@ fixpoint, so every node, branch and pruning is what it would be without
 it. The leaf check still reads `problem.constraints`, and every other
 caller of the engine, logged runs included, keeps the decomposition.
 
-Most of those nodes are dead ends that the kernel's first round wipes out,
-and `solve` settles them without an engine run. When the engine's
-constraint 0 is a `ValueCover` whose flag at the node is clear and var is
-in its scope, pushing var's frame asks `ValueCover.doomed` once which
-values of var would wipe out, and with what count. A doomed child costs no
-domain copy, no flags copy and no engine run, yet counts as the node, the
-branch, the backtrack and the prunings that the run would have given, and
-`node_hook` still sees every node, in order. The counters are exact:
+Most of those nodes are dead ends that one filter call wipes out, and
+`solve` settles them without an engine run. Under the fusion guard,
+pushing var's frame asks each constraint that has a lookahead and whose
+flag at the node is clear which values of var would wipe out, and with
+what count: `ValueCover.doomed` for the kernel, which names exactly the
+children its first round wipes, and `LexLeqPermuted.doomed` for each lex
+filter, which names the values b with sigma(b) < b when every position
+before var's is a singleton that sigma fixes. The frame's doomed mask is
+the union of their answers, and its count is that of an answer that names
+a value. A doomed child costs no domain copy, no flags copy and no engine
+run, yet counts as the node, the branch, the backtrack and the prunings
+that the run would have given, and `node_hook` still sees every node, in
+order. The counters are exact:
 
-- the engine builds `watchers` in constraint order, so `watchers[var]`
-  lists the kernel first, and a run with `changed=(var,)` pops it first
-  unless its flag is set;
-- the engine stops at the first wipeout;
-- a first-round wipe empties the whole scope, after whatever that round
-  narrowed, so the call removes every value the child's scope held, and
-  the run returns `(that count, True)`;
+- every constraint shares one variable set, and each filter empties the
+  whole set when it empties any variable, so a wipeout run removes every
+  value the child held, in any queue order: the other scope variables'
+  bits plus 1, which is each lookahead's count;
+- a child the kernel dooms: the engine builds `watchers` in constraint
+  order, so a run with `changed=(var,)` pops the kernel first, and its
+  first round wipes the scope;
+- a child a lex filter dooms: the fixed prefix singletons and var = {b}
+  survive every earlier call unless that call empties a variable, which
+  is itself a wipeout. The lex filter is queued, because its flag is clear
+  and it watches var. When it runs, it ties at each prefix position and
+  meets sigma(b) < b at var's position, where the two sides can neither
+  tie nor fall below, and it wipes the scope;
 - a doomed child holds no solution, so the solutions, `goal="first"` and
   the order of `node_hook` calls do not move.
 
@@ -58,9 +69,12 @@ doomed mask and count are what the next child reads, so k consecutive
 doomed children are k single ones. No deadline check falls between them,
 as none falls between children of one frame.
 
-A set flag means every needed value is some variable's singleton, where
-nothing is doomed, so that check only saves the scan. On ge-tree
-`pigeonhole:10` the lookahead settles 21,147 of 26,442 nodes.
+A set flag means the constraint is entailed, where its lookahead names
+nothing, so that check only saves the scan; the plain pigeonhole, which
+has no lex filter, asks the kernel alone. On ge-tree `pigeonhole:10` the
+kernel's lookahead settles 21,147 of 26,442 nodes; on generator-lex
+`pigeonhole:8` the two settle 2,233 of 2,511, and the engine runs only at
+the root and at the 278 children that survive.
 
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
@@ -181,6 +195,12 @@ def solve(
     engine = PropagationEngine(_fuse_value_covers(problem.constraints), problem.num_vars)
     cons = engine.constraints
     cover = cons[0] if cons and cons[0].__class__ is ValueCover else None
+    # Under the fusion guard, each other constraint with a lookahead, as
+    # (its index, its doomed method): each lex filter; pigeonhole alone has
+    # none.
+    lookaheads = []
+    if cover is not None:
+        lookaheads = [(ci, c.doomed) for ci, c in enumerate(cons) if ci and hasattr(c, "doomed")]
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
     num_vars = problem.num_vars
@@ -195,8 +215,8 @@ def solve(
 
     # One frame per variable on the current path: [var, its domain and
     # entailment flags before branching, the mask of the values assigned
-    # above it, the mask of its untried candidates, the kernel's doomed mask
-    # and wipeout count for var]. Only the untried mask changes in place.
+    # above it, the mask of its untried candidates, the lookaheads' doomed
+    # mask and wipeout count for var]. Only the untried mask changes in place.
     # dom, flags and used are the node being entered, the root or a child
     # that propagation did not wipe out.
     used = 0
@@ -228,6 +248,13 @@ def solve(
                 doomed = wipe_count = 0
                 if cover is not None and not flags[0]:
                     doomed, wipe_count = cover.doomed(dom.masks, var)
+                if lookaheads:
+                    for ci, lookahead in lookaheads:
+                        if not flags[ci]:
+                            mask, count = lookahead(dom.masks, var)
+                            if mask:
+                                doomed |= mask
+                                wipe_count = count
                 stack.append([var, dom, flags, used, cands, doomed, wipe_count])
             else:
                 stats.branches += 1

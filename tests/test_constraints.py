@@ -502,6 +502,62 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def test_lex_lookahead_names_only_children_the_filter_wipes():
+    # doomed(masks, var) may miss values, but every value it names must
+    # wipe the filter's call on var = {b}, and on any subdomain of that
+    # child, with the count it returns. When every position before var is a
+    # singleton its permutation fixes, each b with sigma(b) < b is named.
+    rng = make_rng(28)
+    outcomes = {"doomed": 0, "prefix": 0, "outside": 0, "shared": 0}
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        size = rng.randint(1, m)
+        img = list(range(1, size + 1))
+        rng.shuffle(img)
+        perm = Permutation(img)
+        dom = DomainSet.from_values(
+            [rng.sample(range(1, m + 3), rng.randint(1, m + 2)) for _ in range(n)])
+        scope = rng.sample(range(n), rng.randint(1, n))
+        lex = LexLeqPermuted(perm, scope)
+        fixed = [v for v in range(1, m + 3) if perm(v) == v]
+        if fixed:
+            for var in scope[:rng.randint(0, len(scope))]:
+                dom.masks[var] = 1 << rng.choice(fixed)
+        cover = ValueCover([DisjunctionEq(rng.randint(1, m + 2), rng.sample(scope, len(scope)))
+                            for _ in range(rng.randint(1, m))])
+        for var in range(n):
+            before = dom.copy()
+            doomed, count = lex.doomed(dom.masks, var)
+            assert dom == before
+            if var not in scope:
+                assert (doomed, count) == (0, 0)
+                outcomes["outside"] += 1
+                continue
+            assert doomed & ~dom.masks[var] == 0, (lex, dom, var)
+            prefix = scope[:scope.index(var)]
+            if all(dom.size(v) == 1 and perm(dom.values(v)[0]) == dom.values(v)[0] for v in prefix):
+                outcomes["prefix"] += 1
+                assert doomed == sum(1 << b for b in dom.values(var) if perm(b) < b), (lex, dom, var)
+            for b in dom.values(var):
+                if not doomed >> b & 1:
+                    continue
+                child = dom.copy()
+                child.assign(var, b)
+                held = sum(child.size(v) for v in scope)
+                sub = random_subdomain(rng, child)
+                removed = lex.propagate(child)
+                assert len(removed) == count == held, (lex, dom, var, b)
+                assert all(child.is_empty(v) for v in scope), (lex, dom, var, b)
+                lex.propagate(sub)
+                assert all(sub.is_empty(v) for v in scope), (lex, dom, var, b)
+                outcomes["doomed"] += 1
+            cover_doomed, cover_count = cover.doomed(dom.masks, var)
+            if doomed & cover_doomed:
+                assert count == cover_count, (lex, cover, dom, var)
+                outcomes["shared"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 # ------------------------------------------------------------------ guarded
 
 def test_conditional_fires_only_when_parity_entailed():
@@ -591,6 +647,30 @@ def test_entailed_filters_stay_noops_on_subdomains():
     assert seen == {Precedence, LexLeqPermuted, DisjunctionEq, EqImpliesLeq, EqImpliesEq,
                     StrictLess, ParityLink, Conditional}
     assert ENTAILED == [] and ENTAILED.__class__ is list
+
+
+def test_filters_are_monotone():
+    # On D' inside D, a filter leaves D' inside what it leaves of D. The
+    # engine's unique fixpoint, and each reuse of a fixpoint's flags on a
+    # subdomain, rests on this.
+    rng = make_rng(13)
+    checks = wiped = 0
+    for _ in range(1000):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        dom = random_domains(rng, n, m)
+        cover = ValueCover([DisjunctionEq(rng.randint(1, m), rng.sample(range(n), n))
+                            for _ in range(rng.randint(1, m))])
+        for c in random_filters(rng, n, m) + [cover]:
+            sub = random_subdomain(rng, dom)
+            if rng.random() < 0.5:
+                sub = random_subdomain(rng, sub)
+            big, small = dom.copy(), sub.copy()
+            c.propagate(big)
+            c.propagate(small)
+            assert all(s & ~b == 0 for s, b in zip(small.masks, big.masks)), (c, dom, sub)
+            checks += 1
+            wiped += small.has_wipeout()
+    assert checks >= 9000 and wiped >= 100, (checks, wiped)
 
 
 def test_removal_records_keep_the_removal_list_contract():

@@ -269,6 +269,72 @@ def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
     assert in_runs >= 100, in_runs
 
 
+def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
+    # With the lex filters' lookahead on as well as the kernel's, solutions,
+    # counters and every node_hook call, in order, are what running every
+    # child through the engine gives; the kernel's answer alone must not
+    # supply the count of a child that only a lex filter foresees.
+    def record(prob, strategy, goal):
+        seen = []
+        solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
+        return solutions, stats.as_record(), seen
+
+    settled = [0]
+    real_doomed = LexLeqPermuted.doomed
+
+    def counting_doomed(self, masks, var):
+        doomed, count = real_doomed(self, masks, var)
+        settled[0] += doomed.bit_count()
+        return doomed, count
+
+    def compare(prob, strategy, goal):
+        with monkeypatch.context() as patch:
+            patch.setattr(LexLeqPermuted, "doomed", counting_doomed)
+            looked_ahead = record(prob, strategy, goal)
+        with monkeypatch.context() as patch:
+            for kind in (ValueCover, LexLeqPermuted):
+                patch.setattr(kind, "doomed", lambda self, masks, var: (0, 0))
+            every_child_run = record(prob, strategy, goal)
+        assert looked_ahead == every_child_run, (prob, strategy, goal)
+
+    rng = make_rng(66)
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        compare(prob, strategy, rng.choice(["first", "all", "count"]))
+    for n in range(4, 10):
+        prob = pigeonhole_model(n)
+        prob = prob.with_constraints(build_generator_lex(prob))
+        for order in ("lex", "min-domain"):
+            compare(prob, Strategy(var_order=order), "count")
+    assert settled[0] >= 1000, settled
+
+
+def test_generator_lex_pigeonhole_runs_the_engine_only_where_a_child_survives(monkeypatch):
+    # The twin of the ge-tree pin above: every wipeout on generator-lex
+    # pigeonhole is one that the kernel's or a lex filter's lookahead
+    # foresees, so the engine runs at the root and at each child that
+    # survives, and never at a branch's dead end.
+    runs = [0]
+    real_run = PropagationEngine.run
+
+    def counting_run(self, dom, changed=None, entailed=None):
+        runs[0] += 1
+        return real_run(self, dom, changed=changed, entailed=entailed)
+
+    monkeypatch.setattr(PropagationEngine, "run", counting_run)
+    seen = {}
+    for n in range(4, 10):
+        prob = pigeonhole_model(n)
+        runs[0] = 0
+        _, stats = solve(prob.with_constraints(build_generator_lex(prob)), goal="count")
+        assert stats.nodes == PIGEONHOLE_GENERATOR_LEX[n][0]
+        assert runs[0] == stats.nodes - stats.branches + 1, (n, runs[0])
+        seen[n] = runs[0]
+    assert (seen[7], seen[8]) == (76, 279), seen
+
+
 def test_generator_lex_pigeonhole_calls_few_lex_filters_per_node(monkeypatch):
     # A lex constraint that ties as singletons up to a position whose values
     # all fall below their images, or ties as singletons throughout, is
