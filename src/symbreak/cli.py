@@ -212,7 +212,7 @@ def cmd_bench_getree(args) -> int:
             print(f"{n},,,,,,,,timeout")
             previous = None
             continue
-        if previous is None:
+        if not previous:  # the first row, or after a timeout or a row with no branch
             ratio, doubling = "", ""
         else:
             ratio = f"{getree.branches / previous:.3f}"

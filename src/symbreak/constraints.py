@@ -797,38 +797,52 @@ class ValueCover(Constraint):
                         return _wipe_scope(masks, scope, removed)
                     removed = _narrow(masks, var, hit, removed)
 
-    def doomed(self, masks: list[int], var: int) -> tuple[int, int]:
-        """The values b of var whose child, masks with var set to {b}, the
-        first round of `propagate` wipes out, as a submask of masks[var];
-        and the count that call removes, which is every value the child's
-        scope holds: the other scope variables' bits plus 1. (0, 0) when var
-        is not in the scope.
+    def lookahead(self, masks: list[int], var: int) -> tuple[int, int, int]:
+        """What the first round of `propagate` does to each child of var,
+        masks with var set to {b}, for every b in masks[var] at once:
+        (doomed, count, quiet). doomed holds the values whose child the
+        round wipes out, and count is what that call removes, which is every
+        value the child's scope holds: the other scope variables' bits plus
+        1. quiet holds the values whose child the call leaves as it is: it
+        pins nothing, wipes nothing and does not return `ENTAILED`, so it
+        returns a plain `[]`. Both are submasks of masks[var], and (0, 0, 0)
+        is the answer when var is not in the scope.
 
-        Take seen and twice over the scope without var. On the child, b is
-        covered and every other value keeps its candidates, so the round
-        wipes iff a needed value other than b has no candidate, or some
-        other variable is the only candidate of two needed values that are
-        not b (call such values lone). That variable holds two values, so no
-        singleton covers them: covered drops out. A lone value has one
+        Take seen, twice and covered over the scope without var. On the
+        child, b is covered and every other value keeps its candidates, so
+        the round wipes iff a needed value other than b has no candidate, or
+        some other variable is the only candidate of two needed values that
+        are not b (call such values lone). That variable holds two values,
+        so no singleton covers them: covered drops out. A lone value has one
         holder, so one b can spare at most one variable from holding two:
         one missing value or one variable with exactly two lone values
         leaves only those values undoomed, and anything more dooms all.
+
+        Call unmet the needed values that are missing or lone and not
+        covered. On the child, an unmet value other than b has no candidate,
+        or one candidate that is not exactly {it}, so the round wipes or
+        pins. Every other needed value is covered or has two candidates, so
+        the child is quiet iff unmet lies inside {b} and a needed value other
+        than b is uncovered; when none is, the call returns `ENTAILED`.
         """
         if var not in self.scope:
-            return 0, 0
-        seen = twice = 0
+            return 0, 0, 0
+        seen = twice = covered = 0
         count = 1
         for v in self.scope:
             if v != var:
                 m = masks[v]
                 twice |= seen & m
                 seen |= m
-                count += m.bit_count()
+                size = m.bit_count()
+                count += size
+                if size == 1:
+                    covered |= m
         mask = masks[var]
         needed = self.needed
         missing = needed & ~seen
         if missing & (missing - 1):
-            return mask, count
+            return mask, count, 0
         spare = missing or -1
         lone = needed & seen & ~twice
         if lone & (lone - 1):
@@ -837,10 +851,17 @@ class ValueCover(Constraint):
                 held = masks[v] & lone
                 if held & (held - 1) and v != var:
                     if pair or held.bit_count() > 2:
-                        return mask, count
+                        return mask, count, 0
                     pair = held
             spare &= pair or -1
-        return mask & ~spare, count
+        unmet = (missing | lone) & ~covered
+        uncovered = needed & ~covered
+        quiet = 0
+        if uncovered and not unmet & (unmet - 1):
+            quiet = mask & (unmet or -1)
+            if not uncovered & (uncovered - 1):
+                quiet &= ~uncovered  # that child covers every needed value
+        return mask & ~spare, count, quiet
 
     def describe(self) -> str:
         return f"value_cover(values={','.join(str(c.value) for c in self.members)})"

@@ -34,7 +34,7 @@ Most of those nodes are dead ends that one filter call wipes out, and
 `solve` settles them without an engine run. Under the fusion guard,
 pushing var's frame asks each constraint that has a lookahead and whose
 flag at the node is clear which values of var would wipe out, and with
-what count: `ValueCover.doomed` for the kernel, which names exactly the
+what count: `ValueCover.lookahead` for the kernel, which names exactly the
 children its first round wipes, and `LexLeqPermuted.doomed` for each lex
 filter, which names the values b with sigma(b) < b when every position
 before var's is a singleton that sigma fixes. The frame's doomed mask is
@@ -71,10 +71,31 @@ as none falls between children of one frame.
 
 A set flag means the constraint is entailed, where its lookahead names
 nothing, so that check only saves the scan; the plain pigeonhole, which
-has no lex filter, asks the kernel alone. On ge-tree `pigeonhole:10` the
-kernel's lookahead settles 21,147 of 26,442 nodes; on generator-lex
-`pigeonhole:8` the two settle 2,233 of 2,511, and the engine runs only at
-the root and at the 278 children that survive.
+has no lex filter, asks the kernel alone.
+
+The kernel's scan also names its quiet children: those whose first round
+pins nothing, wipes nothing and does not return `ENTAILED`, so that its
+call returns a plain `[]`. When the kernel is the only constraint that
+watches var, a quiet child is entered with no engine run: it copies the
+parent's masks, sets var to {b} and shares the parent's flag list. That is
+exact:
+
+- the run with `changed=(var,)` would queue the kernel alone, as its flag
+  is clear; the call removes nothing, so it wakes nothing, and leaves that
+  flag clear, so the run would end with no prunings and no wipeout, and
+  with the flags it began with;
+- no frame's flag list is ever mutated in place, since every engine run
+  writes into a fresh copy of its parent's, so children may share one;
+- the child's masks are what the run would have left, so every node below
+  it, and its solutions, are the same.
+
+Where another constraint watches var (a lex filter, a precedence), the
+child takes the engine run, since that constraint may still remove
+values. On ge-tree `pigeonhole:10` the kernel's lookahead settles 21,147
+of 26,442 nodes and enters the other 5,295 quietly, so the kernel runs
+only at the root; on generator-lex `pigeonhole:8` the two lookaheads
+settle 2,233 of 2,511, and the engine runs only at the root and at the 278
+children that survive.
 
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
@@ -201,6 +222,9 @@ def solve(
     lookaheads = []
     if cover is not None:
         lookaheads = [(ci, c.doomed) for ci, c in enumerate(cons) if ci and hasattr(c, "doomed")]
+        # The variables that the kernel alone watches, whose quiet children
+        # are entered without an engine run.
+        solo = [watching == [0] for watching in engine.watchers]
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
     num_vars = problem.num_vars
@@ -216,7 +240,8 @@ def solve(
     # One frame per variable on the current path: [var, its domain and
     # entailment flags before branching, the mask of the values assigned
     # above it, the mask of its untried candidates, the lookaheads' doomed
-    # mask and wipeout count for var]. Only the untried mask changes in place.
+    # mask and wipeout count for var, and the mask of its quiet children].
+    # Only the untried mask changes in place.
     # dom, flags and used are the node being entered, the root or a child
     # that propagation did not wipe out.
     used = 0
@@ -245,9 +270,11 @@ def solve(
         else:
             cands = ge_tree_mask(used, dom.masks[var], partition) if ge_mode else dom.masks[var]
             if cands:
-                doomed = wipe_count = 0
+                doomed = wipe_count = quiet = 0
                 if cover is not None and not flags[0]:
-                    doomed, wipe_count = cover.doomed(dom.masks, var)
+                    doomed, wipe_count, quiet = cover.lookahead(dom.masks, var)
+                    if not solo[var]:
+                        quiet = 0
                 if lookaheads:
                     for ci, lookahead in lookaheads:
                         if not flags[ci]:
@@ -255,13 +282,13 @@ def solve(
                             if mask:
                                 doomed |= mask
                                 wipe_count = count
-                stack.append([var, dom, flags, used, cands, doomed, wipe_count])
+                stack.append([var, dom, flags, used, cands, doomed, wipe_count, quiet])
             else:
                 stats.branches += 1
                 stats.backtracks += 1
         while stack:  # advance to the next child that survives propagation
             frame = stack[-1]
-            var, parent, parent_flags, parent_used, untried, doomed, wipe_count = frame
+            var, parent, parent_flags, parent_used, untried, doomed, wipe_count, quiet = frame
             if not untried:
                 stack.pop()
                 partial.pop(var, None)  # a run settled without node_hook sets no value
@@ -287,10 +314,18 @@ def solve(
             value = low.bit_length() - 1
             stats.nodes += 1
             child = parent.copy()
-            child.assign(var, value)
-            child_flags = parent_flags[:]
-            pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
-            stats.prunings += pruned
+            if quiet & low:
+                # The kernel's run would remove nothing and entail nothing
+                # (see the module docstring), so the child keeps the
+                # parent's flags.
+                child.masks[var] = low
+                child_flags = parent_flags
+                wiped = False
+            else:
+                child.assign(var, value)
+                child_flags = parent_flags[:]
+                pruned, wiped = engine.run(child, changed=(var,), entailed=child_flags)
+                stats.prunings += pruned
             partial[var] = value
             if node_hook is not None:
                 node_hook(dict(partial))

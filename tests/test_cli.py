@@ -482,6 +482,19 @@ def test_bench_getree_doubling_and_csv_shape(capsys):
     assert branches == [5, 15, 52, 203, 877]
 
 
+def test_bench_getree_from_one_leaves_the_ratio_after_zero_branches_empty(capsys):
+    # pigeonhole:1 fails at the root with no ge-tree branch, so the next row
+    # has no ratio to print, as the first row has none.
+    code, out, _ = run_cli(capsys, "bench-getree", "--n-min", "1", "--n-max", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert [(r["n"], r["getree_branches"], r["branch_ratio"], r["doubling_ok"], r["status"])
+            for r in rows] == [("1", "0", "", "", "ok"), ("2", "1", "", "", "ok"),
+                               ("3", "2", "2.000", "NO", "ok")]
+
+
 def test_reduce_check_verdicts(capsys, tmp_path):
     sat = tmp_path / "sat.cnf"
     sat.write_text("p cnf 2 1\n1 -2 0\n")

@@ -458,7 +458,7 @@ def first_round_wipes(cover, masks):
 
 
 def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
-    # doomed(masks, var) answers for every value b of var at once: b is in
+    # lookahead(masks, var)'s doomed mask answers for every value b of var at once: b is in
     # the mask iff the first round on var = {b} wipes the scope, and then
     # propagate removes every value the child's scope holds.
     rng = make_rng(24)
@@ -479,7 +479,7 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
                             for value in values])
         for var in range(n):
             before = dom.copy()
-            doomed, count = cover.doomed(dom.masks, var)
+            doomed, count, _ = cover.lookahead(dom.masks, var)
             assert dom == before
             if var not in scope:
                 assert (doomed, count) == (0, 0)
@@ -499,6 +499,52 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
                     outcomes["doomed"] += 1
                 else:
                     outcomes["spared"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_value_cover_lookahead_names_exactly_the_quiet_children():
+    # lookahead(masks, var)'s quiet mask holds exactly the values b whose
+    # child, var = {b}, propagate leaves as it is with a plain [], not
+    # ENTAILED; a child that some variable's singleton or b itself covers
+    # completely is entailed, not quiet. A var outside the scope gives 0,
+    # and no value is both quiet and doomed.
+    rng = make_rng(29)
+    outcomes = {"quiet": 0, "entailed": 0, "removes": 0, "outside": 0}
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        dom = random_domains(rng, n, m)
+        scope = rng.sample(range(n), rng.randint(1, n))
+        values = rng.sample(range(1, m + 2), rng.randint(1, min(m + 1, len(scope) + 1)))
+        for var in range(n):
+            roll = rng.random()
+            if roll < 0.05:
+                dom.masks[var] = 0
+            elif roll < 0.5:
+                dom.masks[var] = 1 << rng.choice(values + dom.values(var))
+        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                            for value in values])
+        for var in range(n):
+            before = dom.copy()
+            doomed, _, quiet = cover.lookahead(dom.masks, var)
+            assert dom == before
+            if var not in scope:
+                assert quiet == 0
+                outcomes["outside"] += 1
+                continue
+            assert quiet & ~dom.masks[var] == 0 and quiet & doomed == 0, (cover, dom, var)
+            for b in dom.values(var):
+                child = dom.copy()
+                child.assign(var, b)
+                entered = child.copy()
+                removed = cover.propagate(child)
+                is_quiet = not removed and removed is not ENTAILED and child == entered
+                assert bool(quiet >> b & 1) == is_quiet, (cover, dom, var, b)
+                if is_quiet:
+                    outcomes["quiet"] += 1
+                elif removed is ENTAILED:
+                    outcomes["entailed"] += 1
+                else:
+                    outcomes["removes"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
 
@@ -551,7 +597,7 @@ def test_lex_lookahead_names_only_children_the_filter_wipes():
                 lex.propagate(sub)
                 assert all(sub.is_empty(v) for v in scope), (lex, dom, var, b)
                 outcomes["doomed"] += 1
-            cover_doomed, cover_count = cover.doomed(dom.masks, var)
+            cover_doomed, cover_count, _ = cover.lookahead(dom.masks, var)
             if doomed & cover_doomed:
                 assert count == cover_count, (lex, cover, dom, var)
                 outcomes["shared"] += 1

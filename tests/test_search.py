@@ -107,9 +107,10 @@ def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
     # Every constraint of the pigeonhole shares its scope, so solve fuses
     # the n+1 disjunctions into one kernel, which n variables can never
     # entail. Each pushed frame asks the kernel's lookahead once, and every
-    # wipeout here is one it foresees: the kernel runs at the root and at
-    # each child that survives, and never at a branch's dead end.
-    calls = {ValueCover: 0, DisjunctionEq: 0, "doomed": 0}
+    # child it does not foresee wiping out is quiet: the kernel alone
+    # watches each variable and would remove nothing there. So the kernel
+    # runs once, at the root, and never at a child.
+    calls = {ValueCover: 0, DisjunctionEq: 0, "lookahead": 0}
     for kind in (ValueCover, DisjunctionEq):
         def counting_propagate(self, dom, kind=kind, real=kind.propagate):
             calls[kind] += 1
@@ -117,11 +118,11 @@ def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
 
         monkeypatch.setattr(kind, "propagate", counting_propagate)
 
-    def counting_doomed(self, masks, var, real=ValueCover.doomed):
-        calls["doomed"] += 1
+    def counting_lookahead(self, masks, var, real=ValueCover.lookahead):
+        calls["lookahead"] += 1
         return real(self, masks, var)
 
-    monkeypatch.setattr(ValueCover, "doomed", counting_doomed)
+    monkeypatch.setattr(ValueCover, "lookahead", counting_lookahead)
     for order in ("lex", "min-domain"):
         calls.update(dict.fromkeys(calls, 0))
         _, stats = solve(pigeonhole_model(9), strategy=Strategy(mode="ge-tree", var_order=order),
@@ -129,7 +130,7 @@ def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
         assert stats.nodes == PIGEONHOLE_GE_TREE[9][0]
         frames = stats.nodes - stats.branches + 1
         assert frames == 1156, order
-        assert calls == {ValueCover: frames, DisjunctionEq: 0, "doomed": frames}, order
+        assert calls == {ValueCover: 1, DisjunctionEq: 0, "lookahead": frames}, order
 
     # One constraint over two of the variables keeps the decomposition, and
     # so does a conditional over all of them: its filter wipes only its
@@ -191,12 +192,12 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
 
     rng = make_rng(64)
     settled = [0]
-    real_doomed = ValueCover.doomed
+    real_lookahead = ValueCover.lookahead
 
-    def counting_doomed(self, masks, var):
-        doomed, count = real_doomed(self, masks, var)
+    def counting_lookahead(self, masks, var):
+        doomed, count, quiet = real_lookahead(self, masks, var)
         settled[0] += doomed.bit_count()
-        return doomed, count
+        return doomed, count, quiet
 
     for _ in range(300):
         prob = random_shared_scope_problem(rng)
@@ -204,10 +205,10 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
                             var_order=rng.choice(["lex", "min-domain"]))
         goal = rng.choice(["first", "all", "count"])
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "doomed", counting_doomed)
+            patch.setattr(ValueCover, "lookahead", counting_lookahead)
             looked_ahead = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "doomed", lambda self, masks, var: (0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
     assert settled[0] >= 100, settled
@@ -251,7 +252,7 @@ def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
     def compare(prob, strategy, goal):
         batched = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "doomed", lambda self, masks, var: (0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
             every_child_run = record(prob, strategy, goal)
         assert batched == every_child_run, (prob, strategy, goal)
         return settled_in_runs(prob, strategy, goal)
@@ -292,8 +293,8 @@ def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
             patch.setattr(LexLeqPermuted, "doomed", counting_doomed)
             looked_ahead = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            for kind in (ValueCover, LexLeqPermuted):
-                patch.setattr(kind, "doomed", lambda self, masks, var: (0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
+            patch.setattr(LexLeqPermuted, "doomed", lambda self, masks, var: (0, 0))
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
 
@@ -309,6 +310,53 @@ def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
         for order in ("lex", "min-domain"):
             compare(prob, Strategy(var_order=order), "count")
     assert settled[0] >= 1000, settled
+
+
+def test_quiet_children_keep_every_node_in_order(monkeypatch):
+    # A quiet child, on a variable that the kernel alone watches, is entered
+    # without an engine run, yet solutions, counters and every node_hook
+    # call, in order, are what running it through the engine gives. Each
+    # quiet child entered is one engine run fewer.
+    def record(prob, strategy, goal):
+        seen = []
+        runs = [0]
+        real_run = PropagationEngine.run
+
+        def counting_run(self, dom, changed=None, entailed=None):
+            runs[0] += 1
+            return real_run(self, dom, changed=changed, entailed=entailed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PropagationEngine, "run", counting_run)
+            solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
+        return (solutions, stats.as_record(), seen), runs[0]
+
+    real_lookahead = ValueCover.lookahead
+
+    def compare(prob, strategy, goal):
+        quiet_on, runs = record(prob, strategy, goal)
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "lookahead",
+                          lambda self, masks, var: real_lookahead(self, masks, var)[:2] + (0,))
+            quiet_off, runs_off = record(prob, strategy, goal)
+        assert quiet_on == quiet_off, (prob, strategy, goal)
+        return runs_off - runs, quiet_on[1]
+
+    rng = make_rng(67)
+    entered = solo_problems = 0
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        solo_problems += all(c.__class__ is DisjunctionEq for c in prob.constraints)
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        entered += compare(prob, strategy, rng.choice(["first", "all", "count"]))[0]
+    assert solo_problems >= 50 and entered >= 100, (solo_problems, entered)
+    for n in range(4, 11):
+        for order in ("lex", "min-domain"):
+            # Every child that survives the lookahead is quiet.
+            saved, counters = compare(pigeonhole_model(n), Strategy(mode="ge-tree", var_order=order),
+                                      "count")
+            assert saved == counters["nodes"] - counters["branches"], (n, order)
 
 
 def test_generator_lex_pigeonhole_runs_the_engine_only_where_a_child_survives(monkeypatch):
