@@ -763,8 +763,12 @@ class ValueCover(Constraint):
         members = tuple(members)
         if not members:
             raise ValueError("a value cover needs at least one disjunction")
-        self.scope = members[0].scope
-        if any(set(c.scope) != set(self.scope) for c in members):
+        scope = self.scope = members[0].scope
+        # Members usually hold one scope tuple, so compare the set only when
+        # the tuples differ.
+        self.scope_set = frozenset(scope)
+        if any(c.scope is not scope and c.scope != scope and set(c.scope) != self.scope_set
+               for c in members):
             raise ValueError("value cover members must share one variable set")
         self.members = members
         self.needed = mask_of(c.value for c in members)
@@ -797,7 +801,9 @@ class ValueCover(Constraint):
                         return _wipe_scope(masks, scope, removed)
                     removed = _narrow(masks, var, hit, removed)
 
-    def lookahead(self, masks: list[int], var: int) -> tuple[int, int, int]:
+    def lookahead(
+        self, masks: list[int], var: int, scan: Sequence[int], summary: tuple[int, int, int]
+    ) -> tuple[int, int, int]:
         """What the first round of `propagate` does to each child of var,
         masks with var set to {b}, for every b in masks[var] at once:
         (doomed, count, quiet). doomed holds the values whose child the
@@ -808,15 +814,23 @@ class ValueCover(Constraint):
         returns a plain `[]`. Both are submasks of masks[var], and (0, 0, 0)
         is the answer when var is not in the scope.
 
+        The call reads the other scope variables in two parts. scan lists
+        those it reads from masks. summary is (seen, twice, count) of the
+        rest, each of which must be a singleton: the union of their values,
+        the values two or more of them take, and how many they are. So
+        passing every other scope variable in scan with summary (0, 0, 0)
+        is the full scan; `solve` passes the assigned ones as a summary.
+
         Take seen, twice and covered over the scope without var. On the
         child, b is covered and every other value keeps its candidates, so
         the round wipes iff a needed value other than b has no candidate, or
         some other variable is the only candidate of two needed values that
         are not b (call such values lone). That variable holds two values,
-        so no singleton covers them: covered drops out. A lone value has one
-        holder, so one b can spare at most one variable from holding two:
-        one missing value or one variable with exactly two lone values
-        leaves only those values undoomed, and anything more dooms all.
+        so no singleton covers them: covered drops out, and the pair search
+        reads scan alone. A lone value has one holder, so one b can spare at
+        most one variable from holding two: one missing value or one
+        variable with exactly two lone values leaves only those values
+        undoomed, and anything more dooms all.
 
         Call unmet the needed values that are missing or lone and not
         covered. On the child, an unmet value other than b has no candidate,
@@ -825,19 +839,19 @@ class ValueCover(Constraint):
         the child is quiet iff unmet lies inside {b} and a needed value other
         than b is uncovered; when none is, the call returns `ENTAILED`.
         """
-        if var not in self.scope:
+        if var not in self.scope_set:
             return 0, 0, 0
-        seen = twice = covered = 0
-        count = 1
-        for v in self.scope:
-            if v != var:
-                m = masks[v]
-                twice |= seen & m
-                seen |= m
-                size = m.bit_count()
-                count += size
-                if size == 1:
-                    covered |= m
+        seen, twice, count = summary
+        covered = seen  # each summarised variable is the singleton of its value
+        count += 1
+        for v in scan:
+            m = masks[v]
+            twice |= seen & m
+            seen |= m
+            size = m.bit_count()
+            count += size
+            if size == 1:
+                covered |= m
         mask = masks[var]
         needed = self.needed
         missing = needed & ~seen
@@ -847,9 +861,9 @@ class ValueCover(Constraint):
         lone = needed & seen & ~twice
         if lone & (lone - 1):
             pair = 0
-            for v in self.scope:
+            for v in scan:
                 held = masks[v] & lone
-                if held & (held - 1) and v != var:
+                if held & (held - 1):
                     if pair or held.bit_count() > 2:
                         return mask, count, 0
                     pair = held

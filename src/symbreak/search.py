@@ -97,6 +97,33 @@ only at the root; on generator-lex `pigeonhole:8` the two lookaheads
 settle 2,233 of 2,511, and the engine runs only at the root and at the 278
 children that survive.
 
+The kernel's lookahead takes the other scope variables in two parts (see
+`ValueCover.lookahead`): a tuple it scans, and a summary of the rest. In
+lex order every scope variable before var is assigned, so each frame
+carries a summary of them: seen, the union of their values; twice, the
+values that two or more of them take; and count, how many they are. A
+child that survives takes its parent's summary and, when its variable is
+in the kernel's scope, adds its own value in O(1). The lookahead then scans
+only the scope variables after var. In min-domain order the assigned
+variables are scattered, so the summary stays empty and the lookahead
+scans every other scope variable, as before. That is exact:
+
+- an entered node's assigned variables are singletons of their values: a
+  child sets var to {b}, propagation can empty that singleton but not
+  shrink it to another, and a child that wipes out is never entered;
+- a singleton {v} adds v to seen, adds v to twice when v was already seen,
+  adds v to covered and adds 1 to count, and none of these depends on the
+  order in which the variables are read, so folding the summary in before
+  the scan gives the full scan's masks and count;
+- a singleton never holds two lone values, so the search for a variable
+  that holds two of them skips the summarised ones;
+- the summary records the kernel's scope alone, which under the fusion
+  guard may be fewer than all the variables.
+
+So each lookahead answers as the full scan would, and every counter,
+solution and `node_hook` call is unchanged. On ge-tree `pigeonhole:10` a
+frame at depth k reads 9 - k variables where it read 9.
+
 Counters: a node is one attempted assignment; a branch is a maximal
 root-to-leaf path, where a leaf is a wipeout, a solution, or an empty
 candidate set. A failure at the root therefore counts zero branches.
@@ -185,8 +212,11 @@ def _fuse_value_covers(constraints: tuple) -> Sequence:
     disjunctions = [c for c in constraints if c.__class__ is DisjunctionEq]
     if len(disjunctions) < 2:
         return constraints
-    shared = set(disjunctions[0].scope)
-    if any(c.__class__ is Conditional or set(c.scope) != shared for c in constraints):
+    scope = disjunctions[0].scope
+    shared = frozenset(scope)
+    if any(c.__class__ is Conditional
+           or c.scope is not scope and c.scope != scope and set(c.scope) != shared
+           for c in constraints):
         return constraints
     return [ValueCover(disjunctions)] + [c for c in constraints if c.__class__ is not DisjunctionEq]
 
@@ -213,9 +243,14 @@ def solve(
     if ge_mode and partition is None:
         raise ValueError("ge-tree mode requires a value class partition on the problem")
 
-    engine = PropagationEngine(_fuse_value_covers(problem.constraints), problem.num_vars)
+    num_vars = problem.num_vars
+    min_domain = strategy.var_order == "min-domain"
+    engine = PropagationEngine(_fuse_value_covers(problem.constraints), num_vars)
     cons = engine.constraints
     cover = cons[0] if cons and cons[0].__class__ is ValueCover else None
+    # The variables whose value a frame's summary for the kernel records:
+    # in lex order the kernel's scope, in min-domain order none.
+    summarised = [False] * num_vars
     # Under the fusion guard, each other constraint with a lookahead, as
     # (its index, its doomed method): each lex filter; pigeonhole alone has
     # none.
@@ -225,11 +260,16 @@ def solve(
         # The variables that the kernel alone watches, whose quiet children
         # are entered without an engine run.
         solo = [watching == [0] for watching in engine.watchers]
+        # Per variable, the scope variables its lookahead scans, made when
+        # its first frame is pushed: in lex order the ones after it, since
+        # the summary holds those before it; in min-domain order every other.
+        scans: list = [None] * num_vars
+        if not min_domain:
+            for v in cover.scope:
+                summarised[v] = True
     stats = SearchStats()
     solutions: list[tuple[int, ...]] = []
-    num_vars = problem.num_vars
     partial: dict[int, int] = {}  # the current assignment, var -> value
-    min_domain = strategy.var_order == "min-domain"
     dom = (domains if domains is not None else problem.domains).copy()
     flags: list[bool] = []
     pruned, wiped = engine.run(dom, entailed=flags)
@@ -239,12 +279,15 @@ def solve(
 
     # One frame per variable on the current path: [var, its domain and
     # entailment flags before branching, the mask of the values assigned
-    # above it, the mask of its untried candidates, the lookaheads' doomed
-    # mask and wipeout count for var, and the mask of its quiet children].
-    # Only the untried mask changes in place.
-    # dom, flags and used are the node being entered, the root or a child
-    # that propagation did not wipe out.
+    # above it, the kernel's summary of the summarised variables assigned
+    # above it (seen, twice, count; see `ValueCover.lookahead`), the mask of
+    # its untried candidates, the lookaheads' doomed mask and wipeout count
+    # for var, and the mask of its quiet children]. Only the untried mask
+    # changes in place.
+    # dom, flags, used and summary are the node being entered, the root or a
+    # child that propagation did not wipe out.
     used = 0
+    summary = (0, 0, 0)
     stack: list[list] = []
     while True:
         if deadline is not None and time.perf_counter() > deadline:
@@ -272,7 +315,11 @@ def solve(
             if cands:
                 doomed = wipe_count = quiet = 0
                 if cover is not None and not flags[0]:
-                    doomed, wipe_count, quiet = cover.lookahead(dom.masks, var)
+                    scan = scans[var]
+                    if scan is None:
+                        scan = scans[var] = tuple(
+                            v for v in cover.scope if v != var and (min_domain or v > var))
+                    doomed, wipe_count, quiet = cover.lookahead(dom.masks, var, scan, summary)
                     if not solo[var]:
                         quiet = 0
                 if lookaheads:
@@ -282,13 +329,14 @@ def solve(
                             if mask:
                                 doomed |= mask
                                 wipe_count = count
-                stack.append([var, dom, flags, used, cands, doomed, wipe_count, quiet])
+                stack.append([var, dom, flags, used, summary, cands, doomed, wipe_count, quiet])
             else:
                 stats.branches += 1
                 stats.backtracks += 1
         while stack:  # advance to the next child that survives propagation
             frame = stack[-1]
-            var, parent, parent_flags, parent_used, untried, doomed, wipe_count, quiet = frame
+            (var, parent, parent_flags, parent_used, parent_summary,
+             untried, doomed, wipe_count, quiet) = frame
             if not untried:
                 stack.pop()
                 partial.pop(var, None)  # a run settled without node_hook sets no value
@@ -299,7 +347,7 @@ def solve(
                 # one node, branch and backtrack (see the module docstring).
                 live = untried & ~doomed
                 run = untried & ((live & -live) - 1)  # all of untried when live is 0
-                frame[4] = untried ^ run
+                frame[5] = untried ^ run
                 k = run.bit_count()
                 stats.nodes += k
                 stats.prunings += k * wipe_count
@@ -310,7 +358,7 @@ def solve(
                         partial[var] = value
                         node_hook(dict(partial))
                 continue
-            frame[4] = untried ^ low
+            frame[5] = untried ^ low
             value = low.bit_length() - 1
             stats.nodes += 1
             child = parent.copy()
@@ -333,6 +381,10 @@ def solve(
                 dom = child
                 flags = child_flags
                 used = parent_used | low
+                summary = parent_summary
+                if summarised[var]:
+                    seen, twice, count = summary
+                    summary = (seen | low, twice | seen & low, count + 1)
                 break
             stats.branches += 1
             stats.backtracks += 1

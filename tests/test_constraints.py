@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -457,8 +458,14 @@ def first_round_wipes(cover, masks):
     return len(lone) != len(set(lone))  # one variable is the only candidate of two
 
 
+def full_lookahead(cover, masks, var):
+    """The kernel's lookahead with every other scope variable scanned and
+    an empty summary."""
+    return cover.lookahead(masks, var, [v for v in cover.scope if v != var], (0, 0, 0))
+
+
 def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
-    # lookahead(masks, var)'s doomed mask answers for every value b of var at once: b is in
+    # The full lookahead's doomed mask answers for every value b of var at once: b is in
     # the mask iff the first round on var = {b} wipes the scope, and then
     # propagate removes every value the child's scope holds.
     rng = make_rng(24)
@@ -479,7 +486,7 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
                             for value in values])
         for var in range(n):
             before = dom.copy()
-            doomed, count, _ = cover.lookahead(dom.masks, var)
+            doomed, count, _ = full_lookahead(cover, dom.masks, var)
             assert dom == before
             if var not in scope:
                 assert (doomed, count) == (0, 0)
@@ -503,7 +510,7 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
 
 
 def test_value_cover_lookahead_names_exactly_the_quiet_children():
-    # lookahead(masks, var)'s quiet mask holds exactly the values b whose
+    # The full lookahead's quiet mask holds exactly the values b whose
     # child, var = {b}, propagate leaves as it is with a plain [], not
     # ENTAILED; a child that some variable's singleton or b itself covers
     # completely is entailed, not quiet. A var outside the scope gives 0,
@@ -525,7 +532,7 @@ def test_value_cover_lookahead_names_exactly_the_quiet_children():
                             for value in values])
         for var in range(n):
             before = dom.copy()
-            doomed, _, quiet = cover.lookahead(dom.masks, var)
+            doomed, _, quiet = full_lookahead(cover, dom.masks, var)
             assert dom == before
             if var not in scope:
                 assert quiet == 0
@@ -545,6 +552,54 @@ def test_value_cover_lookahead_names_exactly_the_quiet_children():
                     outcomes["entailed"] += 1
                 else:
                     outcomes["removes"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_value_cover_lookahead_reads_assigned_variables_from_a_summary():
+    # Any singleton scope variables other than var (the assigned ones) may
+    # be passed as a summary, (the union of their values, the values two or
+    # more of them take, how many they are), and the rest scanned in any
+    # order: the answer is exactly the full scan's. Scopes cover part of
+    # the variables in shuffled order, summarised values repeat, free
+    # variables may be singletons too, and var may lie outside the scope.
+    rng = make_rng(30)
+    outcomes = {"summarised": 0, "repeats": 0, "free_singleton": 0, "outside": 0,
+                "doomed": 0, "quiet": 0}
+    for _ in range(3000):
+        n, m = rng.randint(2, 8), rng.randint(1, 6)
+        dom = random_domains(rng, n, m)
+        scope = rng.sample(range(n), rng.randint(1, n))
+        values = rng.sample(range(1, m + 2), rng.randint(1, min(m + 1, len(scope) + 1)))
+        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                            for value in values])
+        assigned = set()
+        for var in range(n):
+            roll = rng.random()
+            if roll < 0.05:
+                dom.masks[var] = 0
+            elif roll < 0.7:
+                dom.masks[var] = 1 << rng.choice(values + dom.values(var))
+                if rng.random() < 0.7:
+                    assigned.add(var)
+        for var in range(n):
+            others = [v for v in cover.scope if v != var]
+            summarised = [v for v in others if v in assigned]
+            taken = Counter(dom.values(v)[0] for v in summarised)
+            summary = (sum(1 << value for value in taken),
+                       sum(1 << value for value, k in taken.items() if k > 1),
+                       len(summarised))
+            scan = [v for v in others if v not in assigned]
+            rng.shuffle(scan)
+            before = dom.copy()
+            got = cover.lookahead(dom.masks, var, scan, summary)
+            assert dom == before
+            assert got == full_lookahead(cover, dom.masks, var), (cover, dom, var, summarised)
+            outcomes["summarised"] += bool(summarised)
+            outcomes["repeats"] += bool(summary[1])
+            outcomes["free_singleton"] += any(dom.size(v) == 1 for v in scan)
+            outcomes["outside"] += var not in scope
+            outcomes["doomed"] += bool(got[0])
+            outcomes["quiet"] += bool(got[2])
     assert min(outcomes.values()) >= 100, outcomes
 
 
@@ -597,7 +652,7 @@ def test_lex_lookahead_names_only_children_the_filter_wipes():
                 lex.propagate(sub)
                 assert all(sub.is_empty(v) for v in scope), (lex, dom, var, b)
                 outcomes["doomed"] += 1
-            cover_doomed, cover_count, _ = cover.lookahead(dom.masks, var)
+            cover_doomed, cover_count, _ = full_lookahead(cover, dom.masks, var)
             if doomed & cover_doomed:
                 assert count == cover_count, (lex, cover, dom, var)
                 outcomes["shared"] += 1

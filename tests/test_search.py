@@ -1,3 +1,6 @@
+import time
+from collections import Counter
+
 import pytest
 
 from symbreak import (
@@ -118,9 +121,9 @@ def test_ge_tree_pigeonhole_runs_one_value_cover_per_node(monkeypatch):
 
         monkeypatch.setattr(kind, "propagate", counting_propagate)
 
-    def counting_lookahead(self, masks, var, real=ValueCover.lookahead):
+    def counting_lookahead(self, masks, var, scan, summary, real=ValueCover.lookahead):
         calls["lookahead"] += 1
-        return real(self, masks, var)
+        return real(self, masks, var, scan, summary)
 
     monkeypatch.setattr(ValueCover, "lookahead", counting_lookahead)
     for order in ("lex", "min-domain"):
@@ -181,6 +184,24 @@ def test_fused_search_matches_the_unfused_engine(monkeypatch):
         assert fused[1].as_record() == unfused[1].as_record(), (prob, strategy)
 
 
+def test_value_cover_fusion_cost_scales_linearly():
+    # solve fuses the disjunctions before its deadline is first read, so the
+    # fusion guard and the kernel's member check must cost time linear in
+    # the number of constraints when they share one scope tuple: factor 3
+    # slack on the per-constraint cost fitted at the smallest size.
+    timings = {}
+    for n in (250, 2000):
+        constraints = pigeonhole_model(n).constraints
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fused = search._fuse_value_covers(constraints)
+            best = min(best, time.perf_counter() - t0)
+        assert [c.__class__ for c in fused] == [ValueCover]
+        timings[n] = best
+    assert timings[2000] <= 3.0 * timings[250] * 2000 / 250, timings
+
+
 def test_doomed_children_keep_every_node_in_order(monkeypatch):
     # A child the kernel's lookahead foresees wiping out skips its engine
     # run, yet counts, prunes and reaches node_hook exactly as when every
@@ -194,8 +215,8 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
     settled = [0]
     real_lookahead = ValueCover.lookahead
 
-    def counting_lookahead(self, masks, var):
-        doomed, count, quiet = real_lookahead(self, masks, var)
+    def counting_lookahead(self, masks, var, scan, summary):
+        doomed, count, quiet = real_lookahead(self, masks, var, scan, summary)
         settled[0] += doomed.bit_count()
         return doomed, count, quiet
 
@@ -208,7 +229,7 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
             patch.setattr(ValueCover, "lookahead", counting_lookahead)
             looked_ahead = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
     assert settled[0] >= 100, settled
@@ -252,7 +273,7 @@ def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
     def compare(prob, strategy, goal):
         batched = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
             every_child_run = record(prob, strategy, goal)
         assert batched == every_child_run, (prob, strategy, goal)
         return settled_in_runs(prob, strategy, goal)
@@ -293,7 +314,7 @@ def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
             patch.setattr(LexLeqPermuted, "doomed", counting_doomed)
             looked_ahead = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "lookahead", lambda self, masks, var: (0, 0, 0))
+            patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
             patch.setattr(LexLeqPermuted, "doomed", lambda self, masks, var: (0, 0))
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
@@ -337,7 +358,8 @@ def test_quiet_children_keep_every_node_in_order(monkeypatch):
         quiet_on, runs = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
             patch.setattr(ValueCover, "lookahead",
-                          lambda self, masks, var: real_lookahead(self, masks, var)[:2] + (0,))
+                          lambda self, masks, var, scan, summary:
+                          real_lookahead(self, masks, var, scan, summary)[:2] + (0,))
             quiet_off, runs_off = record(prob, strategy, goal)
         assert quiet_on == quiet_off, (prob, strategy, goal)
         return runs_off - runs, quiet_on[1]
@@ -357,6 +379,83 @@ def test_quiet_children_keep_every_node_in_order(monkeypatch):
             saved, counters = compare(pigeonhole_model(n), Strategy(mode="ge-tree", var_order=order),
                                       "count")
             assert saved == counters["nodes"] - counters["branches"], (n, order)
+
+
+def pigeonhole_among_free_variables(k, needed, layout):
+    """The pigeonhole's shape on k scope variables over k + 1 interchangeable
+    values, each of the first `needed` values taken somewhere in the scope,
+    placed among unconstrained variables: layout holds one letter per
+    variable, "s" for a scope variable and "f" for a free one."""
+    assert layout.count("s") == k
+    scope = tuple(v for v, kind in enumerate(layout) if kind == "s")
+    n = len(layout)
+    return Problem(n, k + 1, DomainSet.full(n, k + 1),
+                   tuple(DisjunctionEq(j, scope) for j in range(1, needed + 1)),
+                   ValueClassPartition.of([range(1, k + 2)]))
+
+
+def test_frame_summaries_keep_every_node_in_order(monkeypatch):
+    # Each frame hands the kernel's lookahead a summary of the assigned
+    # scope variables and scans only the rest: in lex order the scope
+    # variables after var, with the summary of those before it; in
+    # min-domain order every other one, with an empty summary. Solutions,
+    # counters and every node_hook call, in order, are what the full scan
+    # at every frame gives, also where free variables lie before, between
+    # and after the scope variables.
+    real_lookahead = ValueCover.lookahead
+    order = [None]
+    summarised = [0]
+
+    def checked_lookahead(self, masks, var, scan, summary):
+        if order[0] == "lex":
+            before = [v for v in self.scope if v < var]
+            taken = Counter(masks[v].bit_length() - 1 for v in before)
+            assert all(masks[v] & (masks[v] - 1) == 0 for v in before), (masks, var)
+            assert summary == (sum(1 << value for value in taken),
+                               sum(1 << value for value, k in taken.items() if k > 1),
+                               len(before)), (masks, var, summary)
+            assert sorted(scan) == sorted(v for v in self.scope if v > var), (var, scan)
+        else:
+            assert summary == (0, 0, 0)
+            assert sorted(scan) == sorted(v for v in self.scope if v != var), (var, scan)
+        summarised[0] += summary[2]
+        return real_lookahead(self, masks, var, scan, summary)
+
+    def full_lookahead(self, masks, var, scan, summary):
+        return real_lookahead(self, masks, var, [v for v in self.scope if v != var], (0, 0, 0))
+
+    def record(prob, strategy, goal, lookahead):
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "lookahead", lookahead)
+            solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
+        return solutions, stats.as_record(), seen
+
+    def compare(prob, strategy, goal):
+        order[0] = strategy.var_order
+        with_summary = record(prob, strategy, goal, checked_lookahead)
+        assert with_summary == record(prob, strategy, goal, full_lookahead), (prob, strategy, goal)
+
+    layouts = ("{}", "f{}", "{}f", "ff{}", "s{}fs", "f{}fsf")
+    for k in range(2, 5):
+        for needed in (k, k + 1):  # satisfiable, then the pigeonhole itself
+            for layout in layouts:
+                prob = pigeonhole_among_free_variables(
+                    k, needed, layout.format("s" * (k - layout.count("s"))))
+                for mode in ("static", "ge-tree"):
+                    for var_order in ("lex", "min-domain"):
+                        for goal in ("first", "all", "count"):
+                            compare(prob, Strategy(mode=mode, var_order=var_order), goal)
+    for n in range(5, 9):
+        for var_order in ("lex", "min-domain"):
+            compare(pigeonhole_model(n), Strategy(mode="ge-tree", var_order=var_order), "count")
+    rng = make_rng(68)
+    for _ in range(300):
+        prob = random_shared_scope_problem(rng)
+        strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
+                            var_order=rng.choice(["lex", "min-domain"]))
+        compare(prob, strategy, rng.choice(["first", "all", "count"]))
+    assert summarised[0] >= 1000, summarised
 
 
 def test_generator_lex_pigeonhole_runs_the_engine_only_where_a_child_survives(monkeypatch):
