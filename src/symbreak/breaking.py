@@ -134,7 +134,9 @@ def canonical_form(vector: Sequence[int], partition: ValueClassPartition) -> tup
 
 
 def lex_constraints(perms: Sequence[Permutation], order: Sequence[int]) -> list[LexLeqPermuted]:
-    """One lex constraint per permutation over the given variable order."""
+    """One lex constraint per permutation over the given variable order; all
+    of them share one scope tuple."""
+    order = tuple(order)
     return [LexLeqPermuted(p, order) for p in perms]
 
 
@@ -147,8 +149,9 @@ def build_generator_lex(problem: Problem) -> list[LexLeqPermuted]:
 
 def build_precedence(problem: Problem) -> list[Precedence]:
     """One precedence constraint per class of `problem.partition` with at
-    least two values."""
-    return [Precedence(cls, range(problem.num_vars)) for cls in problem.partition.nontrivial_classes()]
+    least two values; all of them share one scope tuple."""
+    scope = tuple(range(problem.num_vars))
+    return [Precedence(cls, scope) for cls in problem.partition.nontrivial_classes()]
 
 
 class ClassCanonical(Constraint):

@@ -114,6 +114,7 @@ def _resolve_problem(spec: str) -> Problem:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
+    deadline = _deadline(args)  # building the model counts against --timeout
     problem = _resolve_problem(args.problem)
     run_problem = apply_method(problem, args.method)
     strategy = Strategy(
@@ -121,7 +122,7 @@ def cmd_solve(args) -> int:
         mode="ge-tree" if args.method == "ge-tree" else "static",
     )
     try:
-        solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=_deadline(args))
+        solutions, stats = solve(run_problem, strategy=strategy, goal=args.goal, deadline=deadline)
     except SearchTimeout:
         return _fail("search timed out", EXIT_TIMEOUT)
     doc = {
@@ -200,9 +201,9 @@ def cmd_bench_getree(args) -> int:
     print("n,static_prunings,static_nodes,static_branches,getree_branches,getree_nodes,branch_ratio,doubling_ok,status")
     previous = None
     for n in range(args.n_min, args.n_max + 1):
+        deadline = _deadline(args)  # each row's --timeout includes building its model
         problem = pigeonhole_model(n)
         static_problem = apply_method(problem, "precedence")
-        deadline = _deadline(args)
         try:
             _, static = solve(static_problem, goal="count", deadline=deadline)
             _, getree = solve(

@@ -130,11 +130,21 @@ def _wipe_scope(masks: list[int], scope: Sequence[int], removed: Removed) -> Rem
     return removed
 
 
+# The last scope tuple `_distinct_scope` accepted, so that a tuple the builders
+# pass to many constraints is checked once. It only ever holds a checked tuple,
+# so threads that race on it at worst check a scope again.
+_checked_scope: tuple[int, ...] = ()
+
+
 def _distinct_scope(scope: Sequence[int]) -> tuple[int, ...]:
     # A repeated variable would break the filters' strength and idempotence.
+    global _checked_scope
+    if scope is _checked_scope:
+        return scope
     scope = tuple(scope)
     if len(set(scope)) != len(scope):
         raise ValueError(f"scope {list(scope)} repeats a variable")
+    _checked_scope = scope
     return scope
 
 
@@ -151,56 +161,66 @@ def _parity_mask(parity: str, width: int) -> int:
 
 
 class Permutation:
-    """A bijection on the values 1..size; identity outside the points it moves."""
+    """A bijection on the values 1..size; identity outside the points it moves.
 
-    __slots__ = ("size", "image")
+    It keeps only `size` and its moved points, as a dict value -> image, so a
+    transposition costs O(1) whatever its size; `image` lists every value's
+    image on demand."""
+
+    __slots__ = ("size", "_points")
 
     def __init__(self, image: Sequence[int]):
         img = tuple(image)
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"image {list(img)} is not a permutation of 1..{len(img)}")
         self.size = len(img)
-        self.image = img
+        self._points = {v: s for v, s in enumerate(img, start=1) if v != s}
+
+    @classmethod
+    def _of(cls, size: int, points: dict) -> "Permutation":
+        perm = cls.__new__(cls)
+        perm.size = size
+        perm._points = points
+        return perm
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(1, size + 1)))
+        return cls._of(size, {})
 
     @classmethod
     def transposition(cls, size: int, a: int, b: int) -> "Permutation":
         if not (1 <= a <= size and 1 <= b <= size):
             raise ValueError(f"transposition ({a} {b}) outside 1..{size}")
-        img = list(range(1, size + 1))
-        img[a - 1], img[b - 1] = b, a
-        return cls(img)
+        return cls._of(size, {a: b, b: a} if a != b else {})
+
+    @property
+    def image(self) -> tuple[int, ...]:
+        """The images of 1..size, in order."""
+        get = self._points.get
+        return tuple(get(v, v) for v in range(1, self.size + 1))
 
     def __call__(self, value: int) -> int:
-        if 1 <= value <= self.size:
-            return self.image[value - 1]
-        return value
+        return self._points.get(value, value)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(v) == self(other(v))."""
-        size = max(self.size, other.size)
-        return Permutation(tuple(self(other(v)) for v in range(1, size + 1)))
+        points = {v: self(other(v)) for v in self._points.keys() | other._points.keys()}
+        return Permutation._of(max(self.size, other.size), {v: s for v, s in points.items() if v != s})
 
     def inverse(self) -> "Permutation":
-        img = [0] * self.size
-        for v, s in enumerate(self.image, start=1):
-            img[s - 1] = v
-        return Permutation(img)
+        return Permutation._of(self.size, {s: v for v, s in self._points.items()})
 
     def is_identity(self) -> bool:
-        return all(s == v for v, s in enumerate(self.image, start=1))
+        return not self._points
 
     def moved_points(self) -> list[tuple[int, int]]:
-        return [(v, s) for v, s in enumerate(self.image, start=1) if v != s]
+        return sorted(self._points.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.image == other.image
+        return isinstance(other, Permutation) and (self.size, self._points) == (other.size, other._points)
 
     def __hash__(self) -> int:
-        return hash(self.image)
+        return hash((self.size, frozenset(self._points.items())))
 
     def __repr__(self) -> str:
         moved = ",".join(f"{v}>{s}" for v, s in self.moved_points())
@@ -269,7 +289,6 @@ class LexLeqPermuted(Constraint):
         self._moved = tuple((1 << v, 1 << s) for v, s in moved)
         self._preimage = {s: v for v, s in moved}
         self._descending = mask_of(v for v, s in moved if s < v)  # sigma(v) < v
-        self._position = {var: p for p, var in enumerate(self.order)}
 
     def check(self, assignment) -> bool:
         perm = self.perm
@@ -386,24 +405,30 @@ class LexLeqPermuted(Constraint):
         tie, so the scope wipes. (0, 0) when the prefix holds anything else,
         or when var is not in the scope.
         """
-        p = self._position.get(var)
-        if p is None:
-            return 0, 0
         moved = self._moved_mask
         order = self.order
-        for v in order[:p]:
+        for v in order:
+            if v == var:
+                break
             m = masks[v]
             if m & (m - 1) or m & moved:
                 return 0, 0
+        else:
+            return 0, 0
         count = 1 - masks[var].bit_count()
         for v in order:
             count += masks[v].bit_count()
         return masks[var] & self._descending, count
 
     def describe(self) -> str:
-        moved = ",".join(f"{a}<->{b}" for a, b in self.perm.moved_points() if a < b)
-        tag = moved or "id"
-        return f"lex_leq_permuted({tag})"
+        # An involution prints as its swaps, any other sigma as its moved
+        # points, each value with its image.
+        moved = self.perm.moved_points()
+        if all(self.perm(s) == v for v, s in moved):
+            tag = ",".join(f"{a}<->{b}" for a, b in moved if a < b)
+        else:
+            tag = ",".join(f"{v}>{s}" for v, s in moved)
+        return f"lex_leq_permuted({tag or 'id'})"
 
 
 class Precedence(Constraint):

@@ -227,10 +227,15 @@ class Problem:
         for var, mask in enumerate(self.domains.masks):
             if mask & ~top:
                 raise ValueError(f"domain of variable {var} exceeds 1..{self.num_values}")
+        num_vars = self.num_vars
+        checked = None  # constraints built together often share one scope tuple
         for c in self.constraints:
-            for var in c.scope:
-                if not 0 <= var < self.num_vars:
-                    raise ValueError(f"constraint {c!r} references variable {var}")
+            scope = c.scope
+            if scope is not checked:
+                for var in scope:
+                    if not 0 <= var < num_vars:
+                        raise ValueError(f"constraint {c!r} references variable {var}")
+                checked = scope
         if self.partition is not None:
             for cls in self.partition.classes:
                 for v in cls:

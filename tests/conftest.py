@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+import tracemalloc
 
 from symbreak import DomainSet, Problem
 from symbreak.breaking import ValueClassPartition
@@ -25,6 +27,33 @@ from symbreak.engine import ENTAILED
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def best_time(call, repeat=5):
+    """The shortest wall time of `repeat` calls of call(), and the result of
+    the last one. The scaling tests compare such times across sizes."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def peak_bytes(call):
+    """How far the traced memory rose above its level before call() while
+    the call ran, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_domain_lists(rng, n, m):

@@ -25,7 +25,14 @@ from symbreak.breaking import (
 from symbreak.constraints import Permutation
 from symbreak.instances import pigeonhole_model, staircase_fixture, surjection_fixture
 
-from conftest import make_rng, random_binary_constraint, random_domains, random_partition
+from conftest import (
+    best_time,
+    make_rng,
+    peak_bytes,
+    random_binary_constraint,
+    random_domains,
+    random_partition,
+)
 
 
 def closure(perms, num_values):
@@ -288,3 +295,26 @@ def test_apply_method_rejects_an_unknown_method_and_a_problem_without_classes():
     for method in METHODS[1:]:
         with pytest.raises(ValueError, match=f"method '{method}' requires 'classes' in the problem"):
             apply_method(bare, method)
+
+
+def _assert_set_up_scales_linearly(build, arg_of):
+    # Factor 3 slack on the cost per variable fitted at the smallest size,
+    # in time and in memory at its peak.
+    timings, peaks = {}, {}
+    for n in (250, 2000):
+        arg = arg_of(n)
+        timings[n], _ = best_time(lambda: build(arg))
+        peaks[n] = peak_bytes(lambda: build(arg))
+    assert timings[2000] <= 3.0 * timings[250] * 2000 / 250, timings
+    assert peaks[2000] <= 3.0 * peaks[250] * 2000 / 250, peaks
+
+
+def test_pigeonhole_model_set_up_scales_linearly():
+    # The disjunctions share one scope tuple, which is checked once.
+    _assert_set_up_scales_linearly(pigeonhole_model, lambda n: n)
+
+
+def test_generator_lex_set_up_scales_linearly():
+    # The n lex constraints share one order, and each transposition keeps
+    # only its two moved points.
+    _assert_set_up_scales_linearly(build_generator_lex, pigeonhole_model)

@@ -167,6 +167,27 @@ def test_solve_timeout_exit_code(capsys):
     assert "timed out" in err
 
 
+def test_timeout_counts_the_time_spent_building_the_model(capsys, monkeypatch):
+    # --timeout runs from when the command starts, so a slow set-up alone
+    # can use it up, although the search after it would be quick.
+    def slow(build):
+        def built(*args):
+            time.sleep(0.2)
+            return build(*args)
+        return built
+
+    monkeypatch.setattr(cli, "apply_method", slow(cli.apply_method))
+    code, out, err = run_cli(capsys, "solve", "pigeonhole:3", "--timeout", "0.1")
+    assert code == EXIT_TIMEOUT
+    assert out == ""
+    assert "timed out" in err
+
+    monkeypatch.setattr(cli, "pigeonhole_model", slow(cli.pigeonhole_model))
+    code, out, _ = run_cli(capsys, "bench-getree", "--n-min", "3", "--n-max", "3", "--timeout", "0.1")
+    assert code == 0
+    assert out.splitlines()[2:] == ["3,,,,,,,,timeout"]
+
+
 def test_solve_past_recursion_limit(capsys, tmp_path):
     # search walks an explicit stack, so depth is no longer an error
     n = sys.getrecursionlimit() + 500

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from collections import Counter
 
@@ -23,6 +24,7 @@ from symbreak.constraints import (
     _wipe_scope,
 )
 from symbreak.engine import ENTAILED
+from symbreak.problem_io import dumps, problem_from_dict, problem_to_dict
 
 from conftest import (
     decomposed_lex_filter,
@@ -42,13 +44,38 @@ def test_permutation_composition_and_inverse():
         img = list(range(1, m + 1))
         rng.shuffle(img)
         p = Permutation(img)
+        assert p.image == tuple(img)
         assert p.compose(p.inverse()).is_identity()
         assert p.inverse().compose(p).is_identity()
-        q_img = list(range(1, m + 1))
+        # q may act on fewer or more values than p
+        q_size = rng.randint(1, 7)
+        q_img = list(range(1, q_size + 1))
         rng.shuffle(q_img)
         q = Permutation(q_img)
-        v = rng.randint(1, m)
-        assert p.compose(q)(v) == p(q(v))
+        for r in (p.compose(q), q.compose(p)):
+            assert r.size == max(m, q_size)
+            assert sorted(r.image) == list(range(1, r.size + 1))
+        for v in range(1, max(m, q_size) + 2):
+            assert p.compose(q)(v) == p(q(v))
+            assert q.inverse()(q(v)) == v
+        a, b = rng.randint(1, m), rng.randint(1, m)
+        swapped = list(range(1, m + 1))
+        swapped[a - 1], swapped[b - 1] = b, a
+        t = Permutation.transposition(m, a, b)
+        assert t == Permutation(swapped) and hash(t) == hash(Permutation(swapped))
+        assert t.image == tuple(swapped)
+        assert t.is_identity() == (a == b)
+    assert Permutation.identity(3) != Permutation.identity(5)
+    assert Permutation.identity(4).image == (1, 2, 3, 4)
+    # a sigma shorter than the value range writes back as it was read
+    doc = {
+        "format": 1, "variables": 2, "values": 4,
+        "constraints": [{"type": "lex_leq_permuted", "sigma": [3, 1, 2], "order": [1, 0]}],
+    }
+    written = problem_to_dict(problem_from_dict(doc))
+    assert written["constraints"] == doc["constraints"]
+    text = dumps(written)
+    assert dumps(problem_to_dict(problem_from_dict(json.loads(text)))) == text
 
 
 def test_permutation_identity_off_range():
@@ -74,6 +101,20 @@ def test_lex_check_examples():
     c = LexLeqPermuted(swap, [0, 1])
     assert c.check([1, 2])
     assert not c.check([2, 1])
+
+
+def test_lex_describe_names_every_moved_point():
+    # propagate prints this label as a cause: an involution as its swaps,
+    # any other sigma as each moved value with its image
+    def label(img):
+        return LexLeqPermuted(Permutation(img), [0]).describe()
+
+    assert label([1, 2]) == "lex_leq_permuted(id)"
+    assert label([2, 1, 3]) == "lex_leq_permuted(1<->2)"
+    assert label([4, 3, 2, 1]) == "lex_leq_permuted(1<->4,2<->3)"
+    assert label([2, 3, 1]) == "lex_leq_permuted(1>2,2>3,3>1)"
+    assert label([3, 1, 2]) == "lex_leq_permuted(1>3,2>1,3>2)"
+    assert label([2, 1, 4, 5, 3]) == "lex_leq_permuted(1>2,2>1,3>4,4>5,5>3)"
 
 
 def test_at_least_n_values_overloaded_prefix_is_unsatisfiable():

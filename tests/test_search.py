@@ -1,4 +1,3 @@
-import time
 from collections import Counter
 
 import pytest
@@ -28,7 +27,7 @@ from symbreak.constraints import (
     ValueCover,
 )
 
-from conftest import make_rng, random_domains, random_partition
+from conftest import best_time, make_rng, random_domains, random_partition
 
 
 def rgs_leaf_count(length):
@@ -192,13 +191,8 @@ def test_value_cover_fusion_cost_scales_linearly():
     timings = {}
     for n in (250, 2000):
         constraints = pigeonhole_model(n).constraints
-        best = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            fused = search._fuse_value_covers(constraints)
-            best = min(best, time.perf_counter() - t0)
+        timings[n], fused = best_time(lambda: search._fuse_value_covers(constraints))
         assert [c.__class__ for c in fused] == [ValueCover]
-        timings[n] = best
     assert timings[2000] <= 3.0 * timings[250] * 2000 / 250, timings
 
 
