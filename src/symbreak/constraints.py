@@ -148,6 +148,14 @@ def _distinct_scope(scope: Sequence[int]) -> tuple[int, ...]:
     return scope
 
 
+def _share_variable_set(constraints: Sequence, scope: tuple, shared: frozenset) -> bool:
+    """Whether every constraint's scope holds the variables of scope, whose
+    set is shared. Constraints usually hold one scope tuple, so the sets are
+    compared only when the tuples differ."""
+    return all(c.scope is scope or c.scope == scope or set(c.scope) == shared
+               for c in constraints)
+
+
 def value_parity(value: int) -> str:
     return "odd" if value & 1 else "even"
 
@@ -393,32 +401,26 @@ class LexLeqPermuted(Constraint):
                 return _wipe_scope(masks, order, removed)
             start = p
 
-    def doomed(self, masks: list[int], var: int) -> tuple[int, int]:
+    def doomed(self, masks: list[int], var: int) -> int:
         """Values b of var whose child, masks with var set to {b}, this
-        filter wipes out, as a submask of masks[var]; and the count that
-        call removes, which is every value the child's scope holds: the
-        other scope variables' bits plus 1. It may miss doomed values, never
-        names a value that is not: when every position before var's is a
-        singleton that the permutation fixes, it names the values b with
-        sigma(b) < b. The scan ties at each of those positions and meets
-        {b} against {sigma(b)} at var's, which can neither fall below nor
-        tie, so the scope wipes. (0, 0) when the prefix holds anything else,
-        or when var is not in the scope.
+        filter wipes out, as a submask of masks[var]. It names values only:
+        the count such a wipeout removes is every value the child's scope
+        holds, which `ValueCover.lookahead` gives over the same variable
+        set. It may miss doomed values, never names a value that is not:
+        when every position before var's is a singleton that the permutation
+        fixes, it names the values b with sigma(b) < b. The scan ties at
+        each of those positions and meets {b} against {sigma(b)} at var's,
+        which can neither fall below nor tie, so the scope wipes. 0 when the
+        prefix holds anything else, or when var is not in the scope.
         """
         moved = self._moved_mask
-        order = self.order
-        for v in order:
+        for v in self.order:
             if v == var:
-                break
+                return masks[var] & self._descending
             m = masks[v]
             if m & (m - 1) or m & moved:
-                return 0, 0
-        else:
-            return 0, 0
-        count = 1 - masks[var].bit_count()
-        for v in order:
-            count += masks[v].bit_count()
-        return masks[var] & self._descending, count
+                return 0
+        return 0
 
     def describe(self) -> str:
         # An involution prints as its swaps, any other sigma as its moved
@@ -789,11 +791,8 @@ class ValueCover(Constraint):
         if not members:
             raise ValueError("a value cover needs at least one disjunction")
         scope = self.scope = members[0].scope
-        # Members usually hold one scope tuple, so compare the set only when
-        # the tuples differ.
         self.scope_set = frozenset(scope)
-        if any(c.scope is not scope and c.scope != scope and set(c.scope) != self.scope_set
-               for c in members):
+        if not _share_variable_set(members, scope, self.scope_set):
             raise ValueError("value cover members must share one variable set")
         self.members = members
         self.needed = mask_of(c.value for c in members)
@@ -834,8 +833,10 @@ class ValueCover(Constraint):
         (doomed, count, quiet). doomed holds the values whose child the
         round wipes out, and count is what that call removes, which is every
         value the child's scope holds: the other scope variables' bits plus
-        1. quiet holds the values whose child the call leaves as it is: it
-        pins nothing, wipes nothing and does not return `ENTAILED`, so it
+        1. Under `solve`'s fusion guard it is the frame's count, also for a
+        lex filter's doomed child and where the kernel is entailed. quiet
+        holds the values whose child the call leaves as it is: it pins
+        nothing, wipes nothing and does not return `ENTAILED`, so it
         returns a plain `[]`. Both are submasks of masks[var], and (0, 0, 0)
         is the answer when var is not in the scope.
 

@@ -32,25 +32,26 @@ caller of the engine, logged runs included, keeps the decomposition.
 
 Most of those nodes are dead ends that one filter call wipes out, and
 `solve` settles them without an engine run. Under the fusion guard,
-pushing var's frame asks each constraint that has a lookahead and whose
-flag at the node is clear which values of var would wipe out, and with
-what count: `ValueCover.lookahead` for the kernel, which names exactly the
-children its first round wipes, and `LexLeqPermuted.doomed` for each lex
-filter, which names the values b with sigma(b) < b when every position
-before var's is a singleton that sigma fixes. The frame's doomed mask is
-the union of their answers, and its count is that of an answer that names
-a value. A doomed child costs no domain copy, no flags copy and no engine
-run, yet counts as the node, the branch, the backtrack and the prunings
-that the run would have given, and `node_hook` still sees every node, in
-order. The counters are exact:
+pushing var's frame asks the kernel's `ValueCover.lookahead`, which names
+exactly the children its first round wipes, and the `LexLeqPermuted.doomed`
+of each lex filter whose flag at the node is clear, which names the values
+b with sigma(b) < b when every position before var's is a singleton that
+sigma fixes. The frame's doomed mask is the union of the values they
+name, and its count is the one the kernel's scan gives. A doomed child
+costs no domain copy, no flags copy and no engine run, yet counts as the
+node, the branch, the backtrack and the prunings that the run would have
+given, and `node_hook` still sees every node, in order. The counters are
+exact:
 
 - every constraint shares one variable set, and each filter empties the
   whole set when it empties any variable, so a wipeout run removes every
   value the child held, in any queue order: the other scope variables'
-  bits plus 1, which is each lookahead's count;
-- a child the kernel dooms: the engine builds `watchers` in constraint
-  order, so a run with `changed=(var,)` pops the kernel first, and its
-  first round wipes the scope;
+  bits plus 1, which is the count of the kernel's scan, whoever names
+  the child;
+- a child the kernel dooms: its flag is clear, since an entailed kernel
+  dooms none (below); the engine builds `watchers` in constraint order,
+  so a run with `changed=(var,)` pops the kernel first, and its first
+  round wipes the scope;
 - a child a lex filter dooms: the fixed prefix singletons and var = {b}
   survive every earlier call unless that call empties a variable, which
   is itself a wipeout. The lex filter is queued, because its flag is clear
@@ -69,29 +70,32 @@ doomed mask and count are what the next child reads, so k consecutive
 doomed children are k single ones. No deadline check falls between them,
 as none falls between children of one frame.
 
-A set flag means the constraint is entailed, where its lookahead names
-nothing, so that check only saves the scan; the plain pigeonhole, which
-has no lex filter, asks the kernel alone.
+The kernel's lookahead runs at every frame, entailed or not. An entailed
+kernel has each needed value as some scope variable's singleton, and so
+does each child, so every child's first round returns `ENTAILED`: the scan
+names no doomed and no quiet child and gives only the count. A lex filter
+whose flag is set is not asked, since no run would queue it; the plain
+pigeonhole, which has no lex filter, asks the kernel alone.
 
 The kernel's scan also names its quiet children: those whose first round
 pins nothing, wipes nothing and does not return `ENTAILED`, so that its
-call returns a plain `[]`. When the kernel is the only constraint that
-watches var, a quiet child is entered with no engine run: it copies the
-parent's masks, sets var to {b} and shares the parent's flag list. That is
-exact:
+call returns a plain `[]`. When the kernel is the only constraint, and so
+the only one that watches var, a quiet child is entered with no engine
+run: it copies the parent's masks, sets var to {b} and shares the parent's
+flag list. That is exact:
 
 - the run with `changed=(var,)` would queue the kernel alone, as its flag
-  is clear; the call removes nothing, so it wakes nothing, and leaves that
-  flag clear, so the run would end with no prunings and no wipeout, and
-  with the flags it began with;
+  is clear where it names a quiet child; the call removes nothing, so it
+  wakes nothing, and leaves that flag clear, so the run would end with no
+  prunings and no wipeout, and with the flags it began with;
 - no frame's flag list is ever mutated in place, since every engine run
   writes into a fresh copy of its parent's, so children may share one;
 - the child's masks are what the run would have left, so every node below
   it, and its solutions, are the same.
 
-Where another constraint watches var (a lex filter, a precedence), the
-child takes the engine run, since that constraint may still remove
-values. On ge-tree `pigeonhole:10` the kernel's lookahead settles 21,147
+Any other constraint (a lex filter, a precedence) watches the one
+variable set, var included, so there the child takes the engine run,
+since that constraint may still remove values. On ge-tree `pigeonhole:10` the kernel's lookahead settles 21,147
 of 26,442 nodes and enters the other 5,295 quietly, so the kernel runs
 only at the root; on generator-lex `pigeonhole:8` the two lookaheads
 settle 2,233 of 2,511, and the engine runs only at the root and at the 278
@@ -136,7 +140,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .breaking import ValueClassPartition
-from .constraints import Conditional, DisjunctionEq, ValueCover
+from .constraints import Conditional, DisjunctionEq, ValueCover, _share_variable_set
 from .engine import DomainSet, Problem, PropagationEngine, bits_of, mask_of
 
 
@@ -213,10 +217,8 @@ def _fuse_value_covers(constraints: tuple) -> Sequence:
     if len(disjunctions) < 2:
         return constraints
     scope = disjunctions[0].scope
-    shared = frozenset(scope)
-    if any(c.__class__ is Conditional
-           or c.scope is not scope and c.scope != scope and set(c.scope) != shared
-           for c in constraints):
+    if (any(c.__class__ is Conditional for c in constraints)
+            or not _share_variable_set(constraints, scope, frozenset(scope))):
         return constraints
     return [ValueCover(disjunctions)] + [c for c in constraints if c.__class__ is not DisjunctionEq]
 
@@ -257,9 +259,9 @@ def solve(
     lookaheads = []
     if cover is not None:
         lookaheads = [(ci, c.doomed) for ci, c in enumerate(cons) if ci and hasattr(c, "doomed")]
-        # The variables that the kernel alone watches, whose quiet children
-        # are entered without an engine run.
-        solo = [watching == [0] for watching in engine.watchers]
+        # Every constraint watches the kernel's variable set, so quiet
+        # children skip the engine run only when the kernel is alone.
+        solo = len(cons) == 1
         # Per variable, the scope variables its lookahead scans, made when
         # its first frame is pushed: in lex order the ones after it, since
         # the summary holds those before it; in min-domain order every other.
@@ -281,9 +283,9 @@ def solve(
     # entailment flags before branching, the mask of the values assigned
     # above it, the kernel's summary of the summarised variables assigned
     # above it (seen, twice, count; see `ValueCover.lookahead`), the mask of
-    # its untried candidates, the lookaheads' doomed mask and wipeout count
-    # for var, and the mask of its quiet children]. Only the untried mask
-    # changes in place.
+    # its untried candidates, the lookaheads' doomed mask for var and the
+    # kernel's wipeout count, and the mask of its quiet children]. Only the
+    # untried mask changes in place.
     # dom, flags, used and summary are the node being entered, the root or a
     # child that propagation did not wipe out.
     used = 0
@@ -314,21 +316,17 @@ def solve(
             cands = ge_tree_mask(used, dom.masks[var], partition) if ge_mode else dom.masks[var]
             if cands:
                 doomed = wipe_count = quiet = 0
-                if cover is not None and not flags[0]:
+                if cover is not None:
                     scan = scans[var]
                     if scan is None:
                         scan = scans[var] = tuple(
                             v for v in cover.scope if v != var and (min_domain or v > var))
                     doomed, wipe_count, quiet = cover.lookahead(dom.masks, var, scan, summary)
-                    if not solo[var]:
+                    if not solo:
                         quiet = 0
-                if lookaheads:
                     for ci, lookahead in lookaheads:
                         if not flags[ci]:
-                            mask, count = lookahead(dom.masks, var)
-                            if mask:
-                                doomed |= mask
-                                wipe_count = count
+                            doomed |= lookahead(dom.masks, var)
                 stack.append([var, dom, flags, used, summary, cands, doomed, wipe_count, quiet])
             else:
                 stats.branches += 1

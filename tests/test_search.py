@@ -196,10 +196,36 @@ def test_value_cover_fusion_cost_scales_linearly():
     assert timings[2000] <= 3.0 * timings[250] * 2000 / 250, timings
 
 
+def count_only_lookahead(self, masks, var, scan, summary, real=ValueCover.lookahead):
+    """The kernel's lookahead naming no doomed and no quiet child, with the
+    frame's real wipeout count, which a lex filter's doomed child uses."""
+    return 0, real(self, masks, var, scan, summary)[1], 0
+
+
+def test_root_lex_lookahead_cost_scales_linearly():
+    # The first frame of generator-lex search asks each of the n lex
+    # filters which values of variable 0 it dooms, before the deadline is
+    # next read. Each answer must cost O(1) on the root domains, so the
+    # whole scan is linear in n: factor 3 slack on the per-filter cost
+    # fitted at the smallest size.
+    timings = {}
+    for n in (250, 2000):
+        prob = pigeonhole_model(n)
+        lex = build_generator_lex(prob)
+        assert len(lex) == n
+        masks = prob.domains.masks
+
+        def scan():
+            return [c.doomed(masks, 0) for c in lex]
+
+        timings[n], _ = best_time(scan)
+    assert timings[2000] <= 3.0 * timings[250] * 2000 / 250, timings
+
+
 def test_doomed_children_keep_every_node_in_order(monkeypatch):
     # A child the kernel's lookahead foresees wiping out skips its engine
     # run, yet counts, prunes and reaches node_hook exactly as when every
-    # child runs the engine.
+    # child runs the engine; the lex filters' lookahead stays on in both.
     def record(prob, strategy, goal):
         seen = []
         solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
@@ -223,7 +249,7 @@ def test_doomed_children_keep_every_node_in_order(monkeypatch):
             patch.setattr(ValueCover, "lookahead", counting_lookahead)
             looked_ahead = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
+            patch.setattr(ValueCover, "lookahead", count_only_lookahead)
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
     assert settled[0] >= 100, settled
@@ -267,7 +293,7 @@ def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
     def compare(prob, strategy, goal):
         batched = record(prob, strategy, goal)
         with monkeypatch.context() as patch:
-            patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
+            patch.setattr(ValueCover, "lookahead", count_only_lookahead)
             every_child_run = record(prob, strategy, goal)
         assert batched == every_child_run, (prob, strategy, goal)
         return settled_in_runs(prob, strategy, goal)
@@ -288,28 +314,58 @@ def test_doomed_runs_without_node_hook_match_every_child_run(monkeypatch):
 def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
     # With the lex filters' lookahead on as well as the kernel's, solutions,
     # counters and every node_hook call, in order, are what running every
-    # child through the engine gives; the kernel's answer alone must not
-    # supply the count of a child that only a lex filter foresees.
-    def record(prob, strategy, goal):
-        seen = []
-        solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=seen.append)
-        return solutions, stats.as_record(), seen
-
+    # child through the engine gives. A lex filter names values only: the
+    # count of a child it dooms is the kernel's, also at a frame where the
+    # kernel is entailed (every needed value is a scope variable's
+    # singleton), where the kernel names no child and a lex filter alone
+    # dooms one.
     settled = [0]
+    entailed_settled = [0]
+    # Per variable, its latest frame: [whether the kernel is entailed there,
+    # the union of the lex filters' doomed masks]. The kernel's lookahead
+    # runs first at every frame.
+    frames = {}
+    real_lookahead = ValueCover.lookahead
     real_doomed = LexLeqPermuted.doomed
 
+    def noting_lookahead(self, masks, var, scan, summary):
+        covered = 0
+        for v in self.scope:
+            if not masks[v] & (masks[v] - 1):
+                covered |= masks[v]
+        frames[var] = [not self.needed & ~covered, 0]
+        return real_lookahead(self, masks, var, scan, summary)
+
     def counting_doomed(self, masks, var):
-        doomed, count = real_doomed(self, masks, var)
+        doomed = real_doomed(self, masks, var)
         settled[0] += doomed.bit_count()
-        return doomed, count
+        frames[var][1] |= doomed
+        return doomed
+
+    def counting_hook(partial):
+        var = next(reversed(partial))  # the variable of the child's frame
+        entailed, doomed = frames.get(var, (False, 0))
+        entailed_settled[0] += entailed and doomed >> partial[var] & 1
+
+    def record(prob, strategy, goal, hook=lambda partial: None):
+        seen = []
+
+        def node_hook(partial):
+            seen.append(partial)
+            hook(partial)
+
+        solutions, stats = solve(prob, strategy=strategy, goal=goal, node_hook=node_hook)
+        return solutions, stats.as_record(), seen
 
     def compare(prob, strategy, goal):
+        frames.clear()
         with monkeypatch.context() as patch:
+            patch.setattr(ValueCover, "lookahead", noting_lookahead)
             patch.setattr(LexLeqPermuted, "doomed", counting_doomed)
-            looked_ahead = record(prob, strategy, goal)
+            looked_ahead = record(prob, strategy, goal, counting_hook)
         with monkeypatch.context() as patch:
             patch.setattr(ValueCover, "lookahead", lambda self, masks, var, scan, summary: (0, 0, 0))
-            patch.setattr(LexLeqPermuted, "doomed", lambda self, masks, var: (0, 0))
+            patch.setattr(LexLeqPermuted, "doomed", lambda self, masks, var: 0)
             every_child_run = record(prob, strategy, goal)
         assert looked_ahead == every_child_run, (prob, strategy, goal)
 
@@ -319,6 +375,7 @@ def test_lex_lookahead_keeps_every_node_in_order(monkeypatch):
         strategy = Strategy(mode=rng.choice(["static", "ge-tree"]),
                             var_order=rng.choice(["lex", "min-domain"]))
         compare(prob, strategy, rng.choice(["first", "all", "count"]))
+    assert entailed_settled[0] >= 10, entailed_settled
     for n in range(4, 10):
         prob = pigeonhole_model(n)
         prob = prob.with_constraints(build_generator_lex(prob))
