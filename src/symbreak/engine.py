@@ -11,6 +11,7 @@ global state, so independent instances can run on separate threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -289,7 +290,7 @@ class PropagationEngine:
 
         `inq[ci]` is set exactly while constraint ci is queued, running or
         entailed: the running constraint keeps its flag until it has woken
-        the others, so the wake loops skip it, like any queued one, by that
+        the others, so the wake loop skips it, like any queued one, by that
         flag alone (its filter is complete, so its own writes give it nothing
         to do). A filter that returns `ENTAILED` keeps its flag for the rest
         of the run: it removes nothing on any smaller domain, so it is never
@@ -298,6 +299,20 @@ class PropagationEngine:
         and the count before a wipeout stay what they would be if it were
         called. Every other path that goes on to the next constraint clears
         the flag; a wipeout ends the run, and the flags with it.
+
+        A full run does not seed a queue of every constraint: it sweeps a
+        cursor over constraints 0..N-1, then drains the queue of those woken
+        since, which pops them in exactly the seeded queue's order. While the
+        cursor is at ci, every constraint above ci is still seeded, so its
+        flag is set; and the queue is not popped during the sweep, so a
+        constraint that a wake once found queued or entailed stays so until
+        the drain. A wake on var during the sweep therefore scans only the
+        watchers between `swept[var]`, where its last wake stopped, and ci
+        (watcher lists ascend by constraint index), and moves `swept[var]`
+        there: each watcher entry is scanned at most once per sweep, and the
+        entries it skips are exactly those whose flags are set, so the queue
+        order, the log and every count stay what a full seeded queue gives.
+        After the sweep, and in incremental runs, a wake scans the whole list.
 
         `entailed`, when given, is a list of per-constraint flags that the
         caller owns, and the run uses it as `inq`. An incremental run reads
@@ -314,13 +329,16 @@ class PropagationEngine:
         push = queue.append
         pop = queue.popleft
         entailed_mark = ENTAILED
+        new = tuple.__new__
+        sweep_end = cursor = 0
         if changed is None:
             if entailed is None:
                 inq = [True] * len(cons)
             else:
                 inq = entailed
                 inq[:] = [True] * len(cons)
-            queue.extend(range(len(cons)))
+            sweep_end = len(cons)
+            swept = [0] * len(watchers)
         else:
             inq = [False] * len(cons) if entailed is None else entailed
             for var in changed:
@@ -329,8 +347,15 @@ class PropagationEngine:
                         inq[ci] = True
                         push(ci)
         count = 0
-        while queue:
-            ci = pop()
+        while True:
+            sweeping = cursor < sweep_end
+            if sweeping:
+                ci = cursor
+                cursor += 1
+            elif queue:
+                ci = pop()
+            else:
+                return count, False
             c = cons[ci]
             removed = c.propagate(dom)
             if not removed:
@@ -340,35 +365,38 @@ class PropagationEngine:
             writes = removed.writes
             if log is not None:
                 # Expanded inline: a generator or a bits_of call per write
-                # costs more than the expansion of a small record.
+                # costs more than the expansion of a small record, and
+                # tuple.__new__ skips the NamedTuple's Python-level __new__.
                 for var, lost in writes:
                     if lost.bit_count() > _NARROW_BITS:
-                        log += [Pruning(var, value, c) for value in bits_of(lost)]
+                        log += [new(Pruning, (var, value, c)) for value in bits_of(lost)]
                         continue
                     while lost:
                         low = lost & -lost
-                        log.append(Pruning(var, low.bit_length() - 1, c))
+                        log.append(new(Pruning, (var, low.bit_length() - 1, c)))
                         lost ^= low
             if len(writes) == 1:
                 var = writes[0][0]
                 if not masks[var]:
                     return count, True
-                for cj in watchers[var]:
-                    if not inq[cj]:
-                        inq[cj] = True
-                        push(cj)
-                inq[ci] = False
-                continue
-            for var, _ in writes:
-                if not masks[var]:
-                    return count, True
-            for var in {var for var, _ in writes}:
-                for cj in watchers[var]:
+                woken = (var,)
+            else:
+                for var, _ in writes:
+                    if not masks[var]:
+                        return count, True
+                woken = {var for var, _ in writes}
+            for var in woken:
+                ws = watchers[var]
+                if sweeping:
+                    # The entries outside [swept[var], ci) have their flags set.
+                    lo = swept[var]
+                    swept[var] = hi = bisect_left(ws, ci, lo)
+                    ws = ws[lo:hi]
+                for cj in ws:
                     if not inq[cj]:
                         inq[cj] = True
                         push(cj)
             inq[ci] = False
-        return count, False
 
 
 def propagate_fixpoint(problem: Problem, domains: Optional[DomainSet] = None) -> PropagationOutcome:

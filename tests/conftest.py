@@ -11,6 +11,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import deque
 
 from symbreak import DomainSet, Problem
 from symbreak.breaking import ValueClassPartition
@@ -22,7 +23,7 @@ from symbreak.constraints import (
     ParityLink,
     StrictLess,
 )
-from symbreak.engine import ENTAILED
+from symbreak.engine import ENTAILED, Pruning
 
 
 def make_rng(seed):
@@ -248,6 +249,79 @@ class EntailmentProxy(Constraint):
         self.calls[0] += 1
         removed = self.inner.propagate(dom)
         return [] if self.blind and removed is ENTAILED else removed
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def reference_run(constraints, num_vars, dom, changed=None, log=None, entailed=None):
+    """The engine's documented schedule as a plain FIFO loop, mutating dom;
+    returns (removal count, wipeout) like `PropagationEngine.run`.
+
+    A full run seeds every constraint in index order; with `changed`, the
+    watchers of those variables, each once. Each popped filter is called;
+    its removals go to the log in write order, values ascending within a
+    write. A single write wakes its variable's watchers in index order,
+    several writes the watchers of `{var for var, _ in writes}` in that
+    set's iteration order. A flag is set while its constraint is queued or
+    running, and stays set for a filter that returns ENTAILED."""
+    watchers = [[ci for ci, c in enumerate(constraints) if var in c.scope] for var in range(num_vars)]
+    flags = [False] * len(constraints) if entailed is None else entailed
+    queue = deque()
+
+    def wake(var):
+        for cj in watchers[var]:
+            if not flags[cj]:
+                flags[cj] = True
+                queue.append(cj)
+
+    if changed is None:
+        flags[:] = [True] * len(constraints)
+        queue.extend(range(len(constraints)))
+    else:
+        for var in changed:
+            wake(var)
+    count = 0
+    while queue:
+        ci = queue.popleft()
+        c = constraints[ci]
+        removed = c.propagate(dom)
+        if not removed:
+            flags[ci] = removed is ENTAILED
+            continue
+        for var, lost in removed.writes:
+            for value in range(lost.bit_length()):
+                if lost >> value & 1:
+                    count += 1
+                    if log is not None:
+                        log.append(Pruning(var, value, c))
+        if any(not dom.masks[var] for var, _ in removed.writes):
+            return count, True
+        if len(removed.writes) == 1:
+            wake(removed.writes[0][0])
+        else:
+            for var in {var for var, _ in removed.writes}:
+                wake(var)
+        flags[ci] = False
+    return count, False
+
+
+class CallRecorder(Constraint):
+    """Delegates to a constraint and appends its index to a shared list on
+    each filter call, so two schedulers can be compared call by call."""
+
+    def __init__(self, inner, index, calls):
+        self.inner = inner
+        self.scope = inner.scope
+        self.index = index
+        self.calls = calls
+
+    def check(self, assignment):
+        return self.inner.check(assignment)
+
+    def propagate(self, dom):
+        self.calls.append(self.index)
+        return self.inner.propagate(dom)
 
     def describe(self):
         return self.inner.describe()

@@ -318,3 +318,21 @@ def test_generator_lex_set_up_scales_linearly():
     # The n lex constraints share one order, and each transposition keeps
     # only its two moved points.
     _assert_set_up_scales_linearly(build_generator_lex, pigeonhole_model)
+
+
+def alternating_classes_base(n):
+    """X0 full over 1..8, odd positions {1..4} and even positions {5..8}:
+    the first-use variables of both classes are written all through the
+    full run's first pass over the dual encoding's constraints."""
+    lists = [range(1, 9)] + [range(1, 5) if pos % 2 else range(5, 9) for pos in range(1, n)]
+    part = ValueClassPartition.of([[1, 2, 3, 4], [5, 6, 7, 8]])
+    return Problem(n, 8, DomainSet.from_values(lists), partition=part)
+
+
+def test_dual_encoding_fixpoint_scales_linearly():
+    # Each first-use variable is watched by 2n constraints, and its writes
+    # come while the full run still sweeps the seeded constraints, which a
+    # wake skips without scanning them.
+    _assert_set_up_scales_linearly(
+        propagate_fixpoint, lambda n: build_puget(alternating_classes_base(n)).problem
+    )

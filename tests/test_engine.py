@@ -13,11 +13,12 @@ from symbreak import (
     propagate_fixpoint,
     solve,
 )
-from symbreak.breaking import adjacent_generators, build_puget, lex_constraints
-from symbreak.engine import PropagationEngine, bits_of, full_mask, mask_of
+from symbreak.breaking import adjacent_generators, build_puget, full_group, lex_constraints
+from symbreak.engine import PropagationEngine, Pruning, bits_of, full_mask, mask_of
 from symbreak.constraints import Conditional, DisjunctionEq, Precedence, StrictLess
 
 from conftest import (
+    CallRecorder,
     EntailmentProxy,
     brute_solutions,
     make_rng,
@@ -25,6 +26,7 @@ from conftest import (
     random_binary_problem,
     random_domains,
     random_partition,
+    reference_run,
 )
 
 
@@ -349,3 +351,79 @@ def test_entailment_changes_no_log_and_no_search_result():
                 assert not flag or c.propagate(dom.copy()) == [], c
     assert 0 < wipeouts < 300
     assert calls[False][0] < calls[True][0]
+
+
+def ordered_symmetry_problem(rng):
+    """Lex constraints over one shuffled variable order and precedence over
+    another, on random domains: filters that write several variables per
+    call, out of ascending order."""
+    n, m = rng.randint(3, 7), rng.randint(2, 5)
+    part = random_partition(rng, m)
+    perms = (full_group if rng.random() < 0.3 else adjacent_generators)(part, m).perms
+    cons = lex_constraints(perms, rng.sample(range(n), n))
+    cons += [Precedence(cls, rng.sample(range(n), n)) for cls in part.nontrivial_classes()]
+    rng.shuffle(cons)
+    return Problem(n, m, random_domains(rng, n, m), tuple(cons), part)
+
+
+def engine_agreement_problems(rng):
+    for _ in range(60):
+        n, m = rng.randint(2, 7), rng.randint(2, 5)
+        masks = random_domains(rng, n, m).masks
+        masks[0] = full_mask(m)
+        base = Problem(n, m, DomainSet(masks), partition=random_partition(rng, m))
+        for force_surjection in (False, True):
+            yield build_puget(base, force_surjection=force_surjection).problem
+    for _ in range(120):
+        yield wake_order_problem(rng)
+    for _ in range(120):
+        yield ordered_symmetry_problem(rng)
+
+
+def test_engine_matches_the_reference_schedule():
+    # The engine's full runs sweep the seeded constraints before they drain
+    # the queue, and a wake during the sweep scans only the watchers it has
+    # not scanned yet below the cursor. None of that may show: against the
+    # plain FIFO loop in conftest, the filter calls, the log (pairs, order,
+    # causes), the count, the wipeout flag, the domains and the flags left
+    # behind match, for full runs with and without caller-owned flags and
+    # for an incremental run seeded with a copy of the flags, as SAC seeds
+    # its probes.
+    rng = make_rng(33)
+    problems = full_fixpoints = incremental = 0
+    for prob in engine_agreement_problems(rng):
+        problems += 1
+        calls = []
+        cons = [CallRecorder(c, ci, calls) for ci, c in enumerate(prob.constraints)]
+        engine = PropagationEngine(cons, prob.num_vars)
+
+        def both(dom, changed=None, entailed=None):
+            seen, logs = [], []
+            for run in (engine.run, lambda *args, **kw: reference_run(cons, prob.num_vars, *args, **kw)):
+                calls.clear()
+                d, log = dom.copy(), []
+                flags = None if entailed is None else list(entailed)
+                count, wiped = run(d, changed=changed, log=log, entailed=flags)
+                seen.append((calls[:], [(p.var, p.value, p.cause.index) for p in log],
+                             count, wiped, d.masks, None if wiped else flags))
+                logs.append(log)
+            assert seen[0] == seen[1], prob.constraints
+            assert all(type(p) is Pruning for p in logs[0])
+            return seen[0]
+
+        both(prob.domains)
+        _, _, _, wiped, masks, flags = both(prob.domains, entailed=[True, False])
+        if wiped:
+            continue
+        full_fixpoints += 1
+        free = [var for var, mask in enumerate(masks) if mask & (mask - 1)]
+        if not free:
+            continue
+        var = rng.choice(free)
+        dom = DomainSet(masks)
+        dom.assign(var, rng.choice(dom.values(var)))
+        for seed_flags in (flags, None):
+            both(dom, changed=[var], entailed=seed_flags)
+        incremental += 1
+    assert problems >= 300
+    assert full_fixpoints >= 100 and incremental >= 50, (full_fixpoints, incremental)
