@@ -263,8 +263,6 @@ def enforce_sac(
                 dom.remove(var, value)
                 log.append(Pruning(var, value, "sac-probe"))
                 changed = True
-                if not masks[var]:
-                    return PropagationOutcome(log, True, dom)
                 _, wipeout = engine.run(dom, changed=[var], log=log, entailed=flags)
                 if wipeout:
                     return PropagationOutcome(log, True, dom)

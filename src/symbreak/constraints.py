@@ -26,20 +26,18 @@ Most filter calls remove nothing. `_EqImplies`, the channelling kind the
 dual (Puget) encoding posts 2nm times, therefore tests for that first and
 returns `[]` before any revise when its two masks show that both sides keep
 everything: the test holds exactly when `keep_a` and `keep_b` would keep
-both masks, so it skips no call that removes something.
-
-`StrictLess` and `ParityLink` make the same kind of exact no-op test before
-their revises: for `StrictLess(a<b)` nothing goes when max a < max b and
-min b > min a, which on masks read `ma < 1 << (mb.bit_length() - 1)` and
-`mb & -mb > ma & -ma`.
+both masks, so it skips no call that removes something. `StrictLess` and
+`ParityLink` make no such test: they run `BinaryConstraint.propagate` as it
+is, since no workload of the lab calls them often.
 
 A filter that removes nothing may return `engine.ENTAILED` instead of a fresh
 `[]`: its constraint then holds on every non-empty subdomain of the domain it
 saw, so no later call can remove anything, and the engine never wakes it
 again in that run (nor `solve` below that search node, nor a SAC probe below
-the fixpoint that found it). Every kind with a filter reports it, each only
-where that is exact, and each from what its own no-op test or sweep already
-reads, without a further pass over its scope:
+the fixpoint that found it). Every kind with a filter but `StrictLess` and
+`ParityLink` reports it, each only where that is exact, and each from what
+its own no-op test or sweep already reads, without a further pass over its
+scope:
 
 - The value-cover kernel (`ValueCover`, and `DisjunctionEq` as a cover
   with one needed value), when every needed value has a scope variable
@@ -49,11 +47,6 @@ reads, without a further pass over its scope:
   implication holds vacuously) or every value of `b` is in the target (it
   holds whatever `a` takes): on a non-empty subdomain the no-op test still
   holds, so neither revise removes anything.
-- `ParityLink`, in the same shape, when `a` has no value of the condition
-  parity or `b` holds only values of the target parity.
-- `StrictLess(a<b)`, when both masks are non-empty and max a < min b, that
-  is `ma < mb & -mb`: every value of a subdomain of `a` stays below every
-  value of a subdomain of `b`.
 - `LexLeqPermuted`, only on a call that removed nothing, in two cases. At
   beta, when every earlier position is a singleton tie (a fixed point of
   the permutation) and max L < min image(L): on a subdomain L' of L,
@@ -146,14 +139,6 @@ def _distinct_scope(scope: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"scope {list(scope)} repeats a variable")
     _checked_scope = scope
     return scope
-
-
-def _share_variable_set(constraints: Sequence, scope: tuple, shared: frozenset) -> bool:
-    """Whether every constraint's scope holds the variables of scope, whose
-    set is shared. Constraints usually hold one scope tuple, so the sets are
-    compared only when the tuples differ."""
-    return all(c.scope is scope or c.scope == scope or set(c.scope) == shared
-               for c in constraints)
 
 
 def value_parity(value: int) -> str:
@@ -695,23 +680,6 @@ class StrictLess(BinaryConstraint):
         # values above a's smallest; ma == 0 gives the empty mask
         return mb & -((ma & -ma) << 1)
 
-    def propagate(self, dom: DomainSet) -> Removed:
-        # Entailed when all of a lies below b's smallest; otherwise an exact
-        # no-op test: a keeps all of ma when it lies below b's largest, and
-        # b all of mb when it lies above a's smallest. The lowbit comparison
-        # comes first, since it implies mb != 0.
-        a, b = self.scope
-        masks = dom.masks
-        ma = masks[a]
-        if ma:
-            mb = masks[b]
-            low = mb & -mb
-            if ma < low:
-                return ENTAILED
-            if low > ma & -ma and ma < 1 << (mb.bit_length() - 1):
-                return []
-        return BinaryConstraint.propagate(self, dom)
-
     def describe(self) -> str:
         a, b = self.scope
         return f"strict_less(X{a}<X{b})"
@@ -748,29 +716,15 @@ class ParityLink(BinaryConstraint):
             return mb
         return mb & target if ma else 0
 
-    def propagate(self, dom: DomainSet) -> Removed:
-        # The no-op test and entailment of _EqImplies.propagate, with the
-        # condition parity as the trigger and the target parity as the target.
-        a, b = self.scope
-        masks = dom.masks
-        ma = masks[a]
-        mb = masks[b]
-        cond, target = self._parity_masks((ma | mb).bit_length())
-        if ma & ~cond and mb:
-            if not ma & cond or not mb & ~target:
-                return ENTAILED
-            if mb & target:
-                return []
-        return BinaryConstraint.propagate(self, dom)
-
     def describe(self) -> str:
         a, b = self.scope
         return f"parity_link({self.cond_parity}(X{a}) -> {self.target_parity}(X{b}))"
 
 
 class ValueCover(Constraint):
-    """The conjunction of `DisjunctionEq` members over one variable set: every
-    member's value is taken somewhere in the scope.
+    """The conjunction of one `DisjunctionEq` per value, its members, all
+    over the variable set of scope: every value is taken somewhere in the
+    scope.
 
     The filter computes the fixpoint of the members' filters, not GAC on the
     conjunction: a needed value with no candidate wipes the scope, a needed
@@ -786,19 +740,16 @@ class ValueCover(Constraint):
     value.
     """
 
-    def __init__(self, members: Sequence[DisjunctionEq]):
-        members = tuple(members)
-        if not members:
-            raise ValueError("a value cover needs at least one disjunction")
-        scope = self.scope = members[0].scope
-        self.scope_set = frozenset(scope)
-        if not _share_variable_set(members, scope, self.scope_set):
-            raise ValueError("value cover members must share one variable set")
-        self.members = members
-        self.needed = mask_of(c.value for c in members)
+    def __init__(self, values: Sequence[int], scope: Sequence[int]):
+        self.values = tuple(values)
+        if not self.values:
+            raise ValueError("a value cover needs at least one value")
+        self.scope = _distinct_scope(scope)
+        self.scope_set = frozenset(self.scope)
+        self.needed = mask_of(self.values)
 
     def check(self, assignment) -> bool:
-        return all(c.check(assignment) for c in self.members)
+        return not self.needed & ~mask_of(assignment[var] for var in self.scope)
 
     def propagate(self, dom: DomainSet) -> Removed:
         masks = dom.masks
@@ -904,7 +855,7 @@ class ValueCover(Constraint):
         return mask & ~spare, count, quiet
 
     def describe(self) -> str:
-        return f"value_cover(values={','.join(str(c.value) for c in self.members)})"
+        return f"value_cover(values={','.join(map(str, self.values))})"
 
 
 class DisjunctionEq(Constraint):

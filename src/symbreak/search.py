@@ -140,7 +140,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .breaking import ValueClassPartition
-from .constraints import Conditional, DisjunctionEq, ValueCover, _share_variable_set
+from .constraints import Conditional, DisjunctionEq, ValueCover
 from .engine import DomainSet, Problem, PropagationEngine, bits_of, mask_of
 
 
@@ -164,14 +164,18 @@ class SearchStats:
         return asdict(self)
 
 
+VAR_ORDERS = ("lex", "min-domain")
+GOALS = ("first", "all", "count")
+
+
 @dataclass(frozen=True)
 class Strategy:
-    var_order: str = "lex"  # lex | min-domain
+    var_order: str = "lex"  # one of VAR_ORDERS
     mode: str = "static"  # static | ge-tree
     # value order is always ascending
 
     def __post_init__(self):
-        if self.var_order not in ("lex", "min-domain"):
+        if self.var_order not in VAR_ORDERS:
             raise ValueError(f"unknown variable order {self.var_order!r}")
         if self.mode not in ("static", "ge-tree"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -211,16 +215,19 @@ def _fuse_value_covers(constraints: tuple) -> Sequence:
     every filter here empties its whole scope, which is the whole set, so
     the run's count is every value the set held when the run began, however
     the queue was ordered. A `Conditional` is left out of the guard, since
-    its filter wipes only its inner scope.
+    its filter wipes only its inner scope. Constraints usually hold one
+    scope tuple, so the variable sets are compared only where tuples differ.
     """
     disjunctions = [c for c in constraints if c.__class__ is DisjunctionEq]
     if len(disjunctions) < 2:
         return constraints
     scope = disjunctions[0].scope
-    if (any(c.__class__ is Conditional for c in constraints)
-            or not _share_variable_set(constraints, scope, frozenset(scope))):
+    shared = frozenset(scope)
+    if any(c.__class__ is Conditional or not (c.scope is scope or c.scope == scope or set(c.scope) == shared)
+           for c in constraints):
         return constraints
-    return [ValueCover(disjunctions)] + [c for c in constraints if c.__class__ is not DisjunctionEq]
+    cover = ValueCover([c.value for c in disjunctions], scope)
+    return [cover] + [c for c in constraints if c.__class__ is not DisjunctionEq]
 
 
 def solve(
@@ -238,7 +245,7 @@ def solve(
     In ge-tree mode they are one representative per symmetry class.
     """
     strategy = strategy or Strategy()
-    if goal not in ("first", "all", "count"):
+    if goal not in GOALS:
         raise ValueError(f"unknown goal {goal!r}")
     ge_mode = strategy.mode == "ge-tree"
     partition = problem.partition

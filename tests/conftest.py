@@ -325,3 +325,13 @@ class CallRecorder(Constraint):
 
     def describe(self):
         return self.inner.describe()
+
+
+# Malformed DIMACS documents, each with the 1-based line its DimacsError
+# names and the message it states.
+MALFORMED_DIMACS = [
+    ("c counts\np cnf two 1\n1 0\n", 2, "malformed problem line 'p cnf two 1'"),
+    ("p cnf 2 -1\n", 1, "negative counts in problem line"),
+    ("p cnf -2 1\n1 0\n", 1, "negative counts in problem line"),
+    ("p cnf 2 2\n1 -2 0\n\n2 x 0\n", 4, "bad token 'x'"),
+]

@@ -58,6 +58,11 @@ def test_partition_validation():
         ValueClassPartition.of([[1, 2], [2, 3]])
 
 
+def test_partition_rejects_nonpositive_values():
+    with pytest.raises(ValueError, match="partition value 0 is not positive"):
+        ValueClassPartition.of([[0, 1]])
+
+
 def test_adjacent_generators_counts():
     part = ValueClassPartition.of([[1, 2, 3], [4, 5]])
     gens = adjacent_generators(part, 5)

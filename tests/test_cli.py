@@ -18,6 +18,8 @@ from symbreak.instances import chained_pairs_family, parse_dimacs, pigeonhole_mo
 from symbreak.problem_io import problem_to_dict, save_problem
 from symbreak import surjection_fixture
 
+from conftest import MALFORMED_DIMACS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -585,6 +587,15 @@ def test_reduce_rejects_bad_cnf(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text,line", [(text, line) for text, line, _ in MALFORMED_DIMACS])
+def test_reduce_rejects_malformed_counts_and_tokens(capsys, tmp_path, text, line):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "reduce", "--cnf", str(bad))
+    assert (code, out) == (2, "")
+    assert f"error: line {line}: " in err
+
+
 def test_reduce_of_formula_without_variables_is_a_usage_error(capsys, tmp_path):
     # "p cnf 0 0" is valid DIMACS, but its encoding is no loadable problem.
     empty = tmp_path / "empty.cnf"
@@ -615,6 +626,12 @@ def test_kcheck_output_shape(capsys):
 def test_kcheck_rejects_bad_k(capsys):
     code, _, err = run_cli(capsys, "kcheck", "--family", "chained-pairs", "--k", "0")
     assert code == 2
+
+
+def test_kcheck_rejects_unknown_family(capsys):
+    code, out, err = run_cli(capsys, "kcheck", "--family", "nope", "--k", "2")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'nope'" in err
 
 
 def test_kcheck_budget_exit(capsys, monkeypatch):

@@ -434,6 +434,31 @@ def test_disjunction_is_entailed_wherever_its_singleton_sits():
         assert dom == before
 
 
+def cover_of(members):
+    """The value-cover kernel of `DisjunctionEq` members over one variable
+    set, in the first member's scope order."""
+    return ValueCover([c.value for c in members], members[0].scope)
+
+
+def test_value_cover_checks_and_describes_its_values():
+    # The kernel holds exactly when each of its disjunctions holds, and it
+    # prints its values in the order given, repeats included.
+    rng = make_rng(31)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        scope = rng.sample(range(n), rng.randint(1, n))
+        values = [rng.randint(1, m + 1) for _ in range(rng.randint(1, m + 1))]
+        cover = ValueCover(values, scope)
+        for _ in range(8):
+            vec = [rng.randint(1, m) for _ in range(n)]
+            assert cover.check(vec) == all(DisjunctionEq(v, scope).check(vec) for v in values), (values, vec)
+        assert cover.describe() == f"value_cover(values={','.join(map(str, values))})"
+    with pytest.raises(ValueError, match="at least one value"):
+        ValueCover([], [0, 1])
+    with pytest.raises(ValueError, match="repeats a variable"):
+        ValueCover([1], [0, 0])
+
+
 def test_value_cover_is_the_decomposition_fixpoint():
     # The kernel computes what the engine reaches over its member
     # disjunctions, not GAC on their conjunction (which would refute the
@@ -455,7 +480,7 @@ def test_value_cover_is_the_decomposition_fixpoint():
         values = [m + 1 if rng.random() < 0.05 else rng.randint(1, m)
                   for _ in range(rng.randint(1, m + 1))]
         members = [DisjunctionEq(value, rng.sample(scope, len(scope))) for value in values]
-        cover = ValueCover(members)
+        cover = cover_of(members)
 
         want = dom.copy()
         want_count, want_wiped = PropagationEngine(members, n).run(want)
@@ -491,7 +516,7 @@ def first_round_wipes(cover, masks):
     """The two ways the kernel's first round empties its scope, stated on
     the child's masks by listing each needed value's candidates."""
     holders = {value: [v for v in cover.scope if masks[v] >> value & 1]
-               for value in {c.value for c in cover.members}}
+               for value in set(cover.values)}
     if any(not hs for hs in holders.values()):
         return True  # a needed value has no candidate
     lone = [hs[0] for value, hs in holders.items()
@@ -523,8 +548,8 @@ def test_value_cover_lookahead_names_the_children_its_first_round_wipes():
         scope = rng.sample(range(n), rng.randint(1, n))
         values = [m + 1 if rng.random() < 0.05 else rng.randint(1, m)
                   for _ in range(rng.randint(1, m + 1))]
-        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
-                            for value in values])
+        cover = cover_of([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                          for value in values])
         for var in range(n):
             before = dom.copy()
             doomed, count, _ = full_lookahead(cover, dom.masks, var)
@@ -569,8 +594,8 @@ def test_value_cover_lookahead_names_exactly_the_quiet_children():
                 dom.masks[var] = 0
             elif roll < 0.5:
                 dom.masks[var] = 1 << rng.choice(values + dom.values(var))
-        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
-                            for value in values])
+        cover = cover_of([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                          for value in values])
         for var in range(n):
             before = dom.copy()
             doomed, _, quiet = full_lookahead(cover, dom.masks, var)
@@ -611,8 +636,8 @@ def test_value_cover_lookahead_reads_assigned_variables_from_a_summary():
         dom = random_domains(rng, n, m)
         scope = rng.sample(range(n), rng.randint(1, n))
         values = rng.sample(range(1, m + 2), rng.randint(1, min(m + 1, len(scope) + 1)))
-        cover = ValueCover([DisjunctionEq(value, rng.sample(scope, len(scope)))
-                            for value in values])
+        cover = cover_of([DisjunctionEq(value, rng.sample(scope, len(scope)))
+                          for value in values])
         assigned = set()
         for var in range(n):
             roll = rng.random()
@@ -666,8 +691,8 @@ def test_lex_lookahead_names_only_children_the_filter_wipes():
         if fixed:
             for var in scope[:rng.randint(0, len(scope))]:
                 dom.masks[var] = 1 << rng.choice(fixed)
-        cover = ValueCover([DisjunctionEq(rng.randint(1, m + 2), rng.sample(scope, len(scope)))
-                            for _ in range(rng.randint(1, m))])
+        cover = cover_of([DisjunctionEq(rng.randint(1, m + 2), rng.sample(scope, len(scope)))
+                          for _ in range(rng.randint(1, m))])
         for var in range(n):
             before = dom.copy()
             doomed = lex.doomed(dom.masks, var)
@@ -784,8 +809,7 @@ def test_entailed_filters_stay_noops_on_subdomains():
                 sub = random_subdomain(rng, after)
                 before = sub.copy()
                 assert c.propagate(sub) == [] and sub == before, (c, dom, before)
-    assert seen == {Precedence, LexLeqPermuted, DisjunctionEq, EqImpliesLeq, EqImpliesEq,
-                    StrictLess, ParityLink, Conditional}
+    assert seen == {Precedence, LexLeqPermuted, DisjunctionEq, EqImpliesLeq, EqImpliesEq, Conditional}
     assert ENTAILED == [] and ENTAILED.__class__ is list
 
 
@@ -798,8 +822,8 @@ def test_filters_are_monotone():
     for _ in range(1000):
         n, m = rng.randint(2, 6), rng.randint(2, 6)
         dom = random_domains(rng, n, m)
-        cover = ValueCover([DisjunctionEq(rng.randint(1, m), rng.sample(range(n), n))
-                            for _ in range(rng.randint(1, m))])
+        cover = cover_of([DisjunctionEq(rng.randint(1, m), rng.sample(range(n), n))
+                          for _ in range(rng.randint(1, m))])
         for c in random_filters(rng, n, m) + [cover]:
             sub = random_subdomain(rng, dom)
             if rng.random() < 0.5:

@@ -13,7 +13,7 @@ from symbreak import (
     propagate_fixpoint,
     solve,
 )
-from symbreak.breaking import adjacent_generators, build_puget, full_group, lex_constraints
+from symbreak.breaking import ValueClassPartition, adjacent_generators, build_puget, full_group, lex_constraints
 from symbreak.engine import PropagationEngine, Pruning, bits_of, full_mask, mask_of
 from symbreak.constraints import Conditional, DisjunctionEq, Precedence, StrictLess
 
@@ -119,6 +119,13 @@ def test_problem_validates_scopes_and_domains():
         Problem(2, 3, DomainSet.from_values([[1], [4]]))
     with pytest.raises(ValueError):
         Problem(1, 3, DomainSet.full(1, 3), (StrictLess(0, 1),))
+
+
+def test_problem_checks_its_domain_count_and_partition_values():
+    with pytest.raises(ValueError, match="domain set covers 2 variables, expected 3"):
+        Problem(3, 3, DomainSet.full(2, 3))
+    with pytest.raises(ValueError, match="partition value 4 outside 1..3"):
+        Problem(2, 3, DomainSet.full(2, 3), partition=ValueClassPartition.of([[1, 2], [3, 4]]))
 
 
 def test_fixpoint_no_constraints_is_identity():

@@ -30,7 +30,7 @@ from symbreak.constraints import ParityLink
 from symbreak.instances import brute_force_sat, chained_pairs_levels_base, reduction_has_support
 from symbreak.problem_io import dumps, problem_to_dict
 
-from conftest import brute_solutions, make_rng
+from conftest import MALFORMED_DIMACS, brute_solutions, make_rng
 
 
 def brute_sat(formula):
@@ -306,6 +306,14 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_dimacs(text)
     assert err.value.line >= 1
     assert f"line {err.value.line}" in str(err.value)
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED_DIMACS)
+def test_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 def test_parse_rejects_wide_clause():

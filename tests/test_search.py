@@ -659,6 +659,16 @@ def test_ge_tree_enumerates_one_representative_per_class():
     assert stats.solutions == 5
 
 
+def test_unknown_strategy_names_and_goals_are_rejected():
+    with pytest.raises(ValueError, match="unknown variable order 'dom'"):
+        Strategy(var_order="dom")
+    with pytest.raises(ValueError, match="unknown mode 'lex'"):
+        Strategy(mode="lex")
+    prob = Problem(2, 2, DomainSet.full(2, 2))
+    with pytest.raises(ValueError, match="unknown goal 'best'"):
+        solve(prob, goal="best")
+
+
 def test_ge_tree_requires_partition():
     prob = Problem(2, 2, DomainSet.full(2, 2))
     with pytest.raises(ValueError):
